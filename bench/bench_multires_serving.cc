@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
   std::size_t max_bucket_arena = 0;
   for (const int hw : model->ShapeBucketResolutions()) {
     std::shared_ptr<const CompiledModel> bucket;
-    LCE_CHECK(CompiledModel::GetOrCompileShapeBucket(model, hw, &bucket).ok());
+    LCE_CHECK(CompiledModel::GetOrCompileVariant(model, {hw, 1}, &bucket).ok());
     LCE_CHECK(bucket.get() == model.get() ||
               bucket->packed_weight_bytes() == 0);
     bucket_arenas.push_back(bucket->arena_bytes());

@@ -635,12 +635,13 @@ int main(int argc, char** argv) {
     LCE_CHECK(CompiledModel::Compile(g, copts, &model).ok());
 
     // The arena bound under batching covers the largest variant; compiling
-    // it standalone also proves the packed weights are borrowed: the
-    // resident gauge must not move for any batch variant.
+    // it ahead of the server also proves the packed weights are borrowed:
+    // the resident gauge must not move for any batch variant.
     const std::int64_t packed_before = ResidentPackedBytes();
     std::shared_ptr<const CompiledModel> largest;
     LCE_CHECK(
-        CompiledModel::CompileBatchVariant(model, max_batch, &largest).ok());
+        CompiledModel::GetOrCompileVariant(model, {0, max_batch}, &largest)
+            .ok());
     LCE_CHECK(ResidentPackedBytes() == packed_before &&
               "batch variants must share, not duplicate, packed weights");
     const auto arena_bound =

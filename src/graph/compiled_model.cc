@@ -6,7 +6,6 @@
 
 #include "core/bitpack.h"
 #include "core/macros.h"
-#include "graph/batch_variant.h"
 #include "graph/memory_planner.h"
 #include "graph/shape_variant.h"
 #include "graph/validator.h"
@@ -51,10 +50,8 @@ telemetry::Metric* LiveExecutionContexts() {
 CompiledModel::CompiledModel(const Graph& graph) : graph_(graph) {}
 
 CompiledModel::CompiledModel(std::unique_ptr<const Graph> owned_graph,
-                             std::shared_ptr<const CompiledModel> base)
-    : graph_(*owned_graph),
-      owned_graph_(std::move(owned_graph)),
-      base_(std::move(base)) {}
+                             const CompiledModel* root)
+    : graph_(*owned_graph), owned_graph_(std::move(owned_graph)), root_(root) {}
 
 CompiledModel::~CompiledModel() {
   ResidentPackedBytes()->Add(-static_cast<std::int64_t>(packed_weight_bytes_));
@@ -69,59 +66,16 @@ Status CompiledModel::Compile(const Graph& graph, CompileOptions options,
   std::vector<int> resolutions = std::move(options.input_resolutions);
   std::shared_ptr<CompiledModel> model(new CompiledModel(graph));
   LCE_RETURN_IF_ERROR(model->Build(std::move(options), nullptr, nullptr));
-  // Eagerly compile the requested shape buckets so misconfigured resolution
-  // lists fail at startup. Registration goes through the same registry as
-  // lazy bucketing, so pre-compiled and on-demand buckets are
+  // Eagerly compile the requested resolutions so misconfigured lists fail
+  // at startup. Registration goes through the same registry as lazy
+  // compilation, so pre-compiled and on-demand variants are
   // indistinguishable afterwards.
   std::shared_ptr<const CompiledModel> root = model;
   for (int hw : resolutions) {
-    std::shared_ptr<const CompiledModel> bucket;
-    LCE_RETURN_IF_ERROR(GetOrCompileShapeBucket(root, hw, &bucket));
+    std::shared_ptr<const CompiledModel> variant;
+    LCE_RETURN_IF_ERROR(GetOrCompileVariant(root, {hw, 1}, &variant));
   }
   *out = std::move(root);
-  return Status::Ok();
-}
-
-Status CompiledModel::CompileBatchVariant(
-    const std::shared_ptr<const CompiledModel>& base, int batch,
-    std::shared_ptr<const CompiledModel>* out) {
-  LCE_CHECK(base != nullptr && out != nullptr);
-  if (batch < 1) {
-    return Status::InvalidArgument("batch variant requires batch >= 1");
-  }
-  if (batch == 1) {
-    // The base model IS the batch-1 variant.
-    *out = base;
-    return Status::Ok();
-  }
-  // A batch variant widens a batch-1 model; its base may be the root or a
-  // shape bucket (whose kernels already alias the root's weights -- the
-  // sibling copy just re-shares the same shared_ptr state), but never
-  // another batch variant.
-  if (base->batch_ != 1) {
-    return Status::InvalidArgument(
-        "batch variants must be compiled from a batch-1 model, not from "
-        "another batch variant");
-  }
-  std::unique_ptr<Graph> clone;
-  std::vector<int> node_map;
-  LCE_RETURN_IF_ERROR(
-      CloneGraphWithBatch(base->graph_, batch, &clone, &node_map));
-  // Same pool, profile, name, limits and histogram setting as the base:
-  // the variant is the same model, executed N requests at a time, and its
-  // per-node histograms intentionally merge with the base's.
-  CompileOptions options;
-  options.thread_pool = base->pool_;
-  options.kernel_profile = base->kernel_profile_;
-  options.model_name = base->model_name_;
-  options.enable_node_histograms = base->node_histograms_enabled_;
-  options.limits = base->limits_;
-  std::shared_ptr<CompiledModel> model(
-      new CompiledModel(std::move(clone), base));
-  model->batch_ = batch;
-  LCE_RETURN_IF_ERROR(
-      model->Build(std::move(options), base.get(), &node_map));
-  *out = std::move(model);
   return Status::Ok();
 }
 
@@ -132,89 +86,142 @@ int CompiledModel::input_hw() const {
   return static_cast<int>(v.shape.dim(1));
 }
 
-Status CompiledModel::CompileShapeVariant(
-    const std::shared_ptr<const CompiledModel>& root, int input_hw,
+Status CompiledModel::GetOrCompileVariant(
+    const std::shared_ptr<const CompiledModel>& model, VariantKey key,
     std::shared_ptr<const CompiledModel>* out) {
-  LCE_CHECK(root != nullptr && out != nullptr);
-  if (root->base_ != nullptr || root->batch_ != 1) {
-    return Status::InvalidArgument(
-        "shape variants must be compiled from the root model, not from "
-        "another variant");
+  LCE_CHECK(model != nullptr && out != nullptr);
+  const CompiledModel* root = model->Root();
+  if (key.input_hw == 0) key.input_hw = root->input_hw();
+  if (key.batch < 1) {
+    return Status::InvalidArgument("variant batch must be >= 1, got " +
+                                   std::to_string(key.batch));
   }
-  LCE_RETURN_IF_ERROR(
-      ValidateShapeBucketRequest(root->graph_, input_hw, root->limits_));
-  if (input_hw == root->input_hw()) {
-    // The root IS its own resolution's bucket.
-    *out = root;
+  if (key.batch > kMaxVariantBatch) {
+    return Status::ResourceExhausted(
+        "variant batch " + std::to_string(key.batch) +
+        " exceeds kMaxVariantBatch (" + std::to_string(kMaxVariantBatch) +
+        ")");
+  }
+  if (key.input_hw != root->input_hw()) {
+    // Hostile resolutions are refused before the lock and before a byte of
+    // the clone exists.
+    LCE_RETURN_IF_ERROR(
+        ValidateShapeBucketRequest(root->graph_, key.input_hw, root->limits_));
+  }
+  if (std::shared_ptr<const CompiledModel> found = FindVariant(model, key)) {
+    *out = std::move(found);
     return Status::Ok();
+  }
+  // Compilation happens under the registry lock: concurrent first requests
+  // for the same unseen key compile it exactly once, and requests for other
+  // keys briefly serialize behind it (variant compiles are O(IR) -- no
+  // weight packing -- so the hold is short).
+  std::lock_guard<std::mutex> lock(root->bucket_mu_);
+  auto it = root->variants_.find(key);
+  if (it == root->variants_.end()) {
+    const std::vector<int> resolutions = root->ResolutionsLocked();
+    if (!std::binary_search(resolutions.begin(), resolutions.end(),
+                            key.input_hw) &&
+        static_cast<std::int64_t>(resolutions.size()) >=
+            root->limits_.max_shape_buckets) {
+      return Status::ResourceExhausted(
+          "shape bucket count would exceed "
+          "ResourceLimits::max_shape_buckets");
+    }
+    std::unique_ptr<const CompiledModel> variant;
+    LCE_RETURN_IF_ERROR(root->BuildVariant(key, &variant));
+    it = root->variants_.emplace(key, std::move(variant)).first;
+    root->PublishBucketGaugesLocked();
+  }
+  // Aliasing constructor: the handle points at the variant but shares (and
+  // so pins) `model`'s control block, which is the root's.
+  *out = std::shared_ptr<const CompiledModel>(model, it->second.get());
+  return Status::Ok();
+}
+
+std::shared_ptr<const CompiledModel> CompiledModel::FindVariant(
+    const std::shared_ptr<const CompiledModel>& model, VariantKey key) {
+  LCE_CHECK(model != nullptr);
+  const CompiledModel* root = model->Root();
+  if (key.input_hw == 0) key.input_hw = root->input_hw();
+  if (key.input_hw == root->input_hw() && key.batch == 1) {
+    return std::shared_ptr<const CompiledModel>(model, root);
+  }
+  std::lock_guard<std::mutex> lock(root->bucket_mu_);
+  const auto it = root->variants_.find(key);
+  if (it == root->variants_.end()) return nullptr;
+  return std::shared_ptr<const CompiledModel>(model, it->second.get());
+}
+
+Status CompiledModel::BuildVariant(
+    VariantKey key, std::unique_ptr<const CompiledModel>* out) const {
+  // Graph-input shapes of the variant: dim 0 widened to the batch, dims 1-2
+  // resized when the resolution differs (ValidateShapeBucketRequest already
+  // guaranteed rank-4 inputs in that case).
+  const bool resize = key.input_hw != input_hw();
+  std::vector<Shape> input_shapes;
+  for (const int vid : graph_.input_ids()) {
+    const Value& v = graph_.value(vid);
+    if (v.shape.rank() < 1 || v.shape.dim(0) != 1) {
+      return Status::InvalidArgument(
+          "variants require batch-1 graph inputs; input '" + v.name +
+          "' has leading dimension " +
+          std::to_string(v.shape.rank() < 1 ? 0 : v.shape.dim(0)));
+    }
+    Shape s = v.shape;
+    s.dim(0) = key.batch;
+    if (resize) {
+      s.dim(1) = key.input_hw;
+      s.dim(2) = key.input_hw;
+    }
+    input_shapes.push_back(s);
   }
   std::unique_ptr<Graph> clone;
   std::vector<int> node_map;
   LCE_RETURN_IF_ERROR(
-      CloneGraphWithInputSize(root->graph_, input_hw, &clone, &node_map));
+      CloneGraphWithInputShapes(graph_, input_shapes, &clone, &node_map));
+  if (key.batch > 1) {
+    // Lane slicing needs dim 0 == batch on every output; an op that folds
+    // or reorders the batch dimension cannot be batched this way.
+    for (std::size_t pos = 0; pos < graph_.output_ids().size(); ++pos) {
+      const Value& v = graph_.value(graph_.output_ids()[pos]);
+      const Value& cloned = clone->value(clone->output_ids()[pos]);
+      if (v.shape.rank() < 1 || v.shape.dim(0) != 1 ||
+          cloned.shape.rank() < 1 || cloned.shape.dim(0) != key.batch) {
+        return Status::InvalidArgument(
+            "output '" + v.name +
+            "' does not carry the batch dimension; model cannot be batched");
+      }
+    }
+  }
   // Same pool, profile, name, limits and histogram setting as the root: a
-  // bucket is the same model at another resolution, and its per-node
-  // histograms intentionally merge with the root's.
+  // variant is the same model at another shape, and its per-node histograms
+  // intentionally merge with the root's.
   CompileOptions options;
-  options.thread_pool = root->pool_;
-  options.kernel_profile = root->kernel_profile_;
-  options.model_name = root->model_name_;
-  options.enable_node_histograms = root->node_histograms_enabled_;
-  options.limits = root->limits_;
-  std::shared_ptr<CompiledModel> model(
-      new CompiledModel(std::move(clone), root));
-  LCE_RETURN_IF_ERROR(model->Build(std::move(options), root.get(), &node_map));
-  *out = std::move(model);
-  return Status::Ok();
-}
-
-Status CompiledModel::GetOrCompileShapeBucket(
-    const std::shared_ptr<const CompiledModel>& root, int input_hw,
-    std::shared_ptr<const CompiledModel>* out) {
-  LCE_CHECK(root != nullptr && out != nullptr);
-  if (root->base_ != nullptr || root->batch_ != 1) {
-    return Status::InvalidArgument(
-        "shape buckets are registered on the root model, not on variants");
-  }
-  if (input_hw == 0 || input_hw == root->input_hw()) {
-    *out = root;
-    return Status::Ok();
-  }
-  // Compilation happens under the registry lock: concurrent first requests
-  // for the same unseen resolution compile it exactly once, and requests for
-  // other resolutions briefly serialize behind it (bucket compiles are
-  // O(IR) -- no weight packing -- so the hold is short; steady-state lookups
-  // only touch the map).
-  std::lock_guard<std::mutex> lock(root->bucket_mu_);
-  auto it = root->shape_buckets_.find(input_hw);
-  if (it != root->shape_buckets_.end()) {
-    *out = it->second;
-    return Status::Ok();
-  }
-  // The root counts as one bucket against the cap: reject when the registry
-  // already holds max_shape_buckets resolutions in total.
-  if (static_cast<std::int64_t>(root->shape_buckets_.size()) + 1 >=
-      root->limits_.max_shape_buckets) {
-    return Status::ResourceExhausted(
-        "shape bucket count would exceed ResourceLimits::max_shape_buckets");
-  }
-  std::shared_ptr<const CompiledModel> bucket;
-  LCE_RETURN_IF_ERROR(CompileShapeVariant(root, input_hw, &bucket));
-  root->shape_buckets_.emplace(input_hw, bucket);
-  root->PublishBucketGaugesLocked();
-  *out = std::move(bucket);
+  options.thread_pool = pool_;
+  options.kernel_profile = kernel_profile_;
+  options.model_name = model_name_;
+  options.enable_node_histograms = node_histograms_enabled_;
+  options.limits = limits_;
+  std::unique_ptr<CompiledModel> variant(
+      new CompiledModel(std::move(clone), this));
+  variant->batch_ = key.batch;
+  LCE_RETURN_IF_ERROR(variant->Build(std::move(options), this, &node_map));
+  *out = std::move(variant);
   return Status::Ok();
 }
 
 std::vector<int> CompiledModel::ShapeBucketResolutions() const {
   const CompiledModel* root = Root();
-  std::vector<int> out;
-  out.push_back(root->input_hw());
-  {
-    std::lock_guard<std::mutex> lock(root->bucket_mu_);
-    for (const auto& entry : root->shape_buckets_) out.push_back(entry.first);
-  }
+  std::lock_guard<std::mutex> lock(root->bucket_mu_);
+  return root->ResolutionsLocked();
+}
+
+std::vector<int> CompiledModel::ResolutionsLocked() const {
+  std::vector<int> out{input_hw()};
+  for (const auto& entry : variants_) out.push_back(entry.first.input_hw);
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -223,16 +230,16 @@ void CompiledModel::PublishBucketGaugesLocked() const {
   // the honest per-context resident figure when contexts cycle across
   // buckets; the unshared gauge is what pinning every bucket's arena at once
   // would cost. Published on every registration so the bench and the stats
-  // page see the current bucket set.
+  // page see the current bucket set; a bucket's arena is its batch-1 one.
   std::vector<std::size_t> arenas;
   arenas.push_back(arena_size_);
-  for (const auto& entry : shape_buckets_) {
-    arenas.push_back(entry.second->arena_size_);
+  for (const auto& entry : variants_) {
+    if (entry.first.batch == 1) arenas.push_back(entry.second->arena_size_);
   }
   const CrossBucketArena plan = PlanCrossBucketArena(arenas);
   auto& reg = telemetry::MetricsRegistry::Global();
   reg.Gauge("serving.shape_buckets")
-      ->SetMax(static_cast<std::int64_t>(arenas.size()));
+      ->SetMax(static_cast<std::int64_t>(ResolutionsLocked().size()));
   reg.Gauge("planner.bucket_arena_high_water_bytes")
       ->SetMax(static_cast<std::int64_t>(plan.high_water));
   reg.Gauge("planner.bucket_arena_unshared_bytes")
@@ -354,14 +361,14 @@ Status CompiledModel::Build(CompileOptions options,
       ->SetMax(static_cast<std::int64_t>(total_bytes));
   }  // prepare/plan
 
-  // Prepare kernels. On a batch-variant build (weight_source != null) the
+  // Prepare kernels. On a variant build (weight_source != null) the
   // weight-bearing kernels are constructed as siblings of the mapped source
-  // kernel: the expensive batch-invariant state (packed/bitpacked weights,
+  // kernel: the expensive shape-invariant state (packed/bitpacked weights,
   // correction tables, output transforms) is shared by reference and only
   // the geometry-dependent state (indirection tables, tile plans) is
-  // rebuilt for the batch-N geometry. Batch-agnostic kernels (the fully
-  // connected pair, which read the batch from their input tensor at Run)
-  // are aliased outright.
+  // rebuilt for the variant's batch and resolution. Batch-agnostic kernels
+  // (the fully connected pair, which read the batch from their input
+  // tensor at Run) are aliased outright.
   LCE_TRACE_SCOPE_CAT("prepare/pack", "interpreter");
   std::size_t packed_weight_bytes = 0;
   kernels_.clear();
@@ -424,7 +431,7 @@ Status CompiledModel::Build(CompileOptions options,
       case OpType::kFullyConnected: {
         if (src != nullptr) {
           // Batch-agnostic (batch comes from the input tensor at Run):
-          // the variant aliases the base kernel outright.
+          // the variant aliases the root kernel outright.
           k.fc = src->fc;
           break;
         }
@@ -527,7 +534,7 @@ Status CompiledModel::Build(CompileOptions options,
     }
   }
   // Variants report 0 resident weight bytes: everything they hold is an
-  // alias of the base model's packed weights (asserted flat by the serving
+  // alias of the root's packed weights (asserted flat by the serving
   // bench's across-variant check).
   packed_weight_bytes_ = weight_source == nullptr ? packed_weight_bytes : 0;
   if (options.enable_node_histograms) {

@@ -14,6 +14,18 @@
 // ExecutionContexts -- N concurrent Invoke()s against one set of packed
 // weights, on one process-shared ThreadPool.
 //
+// VARIANTS. The model Compile() returns is the *root*. The same model at
+// another square input resolution and/or leading batch dimension is a
+// *variant*, named by a VariantKey {input_hw, batch} and compiled once by
+// GetOrCompileVariant: its graph is a replayed clone at the new input
+// shapes, and every weight-bearing kernel shares the root kernel's packed
+// weights. Ownership is one-directional: the root owns every variant in its
+// registry, and the handles GetOrCompileVariant gives out share the root's
+// reference count (shared_ptr aliasing), so a handle keeps the root -- and
+// with it the whole registry -- alive, while the root never refers back to
+// a handle. Dropping the last handle of any kind frees the root and all of
+// its variants.
+//
 // The legacy single-stream `Interpreter` (graph/interpreter.h) is now a
 // thin wrapper owning one CompiledModel plus one ExecutionContext.
 #ifndef LCE_GRAPH_COMPILED_MODEL_H_
@@ -68,16 +80,31 @@ struct CompileOptions {
   bool enable_node_histograms = false;
   // Enforced on the graph and its memory plan; see core/resource_limits.h.
   ResourceLimits limits;
-  // Square input resolutions to pre-compile as shape buckets at Compile()
+  // Square input resolutions to pre-compile as batch-1 variants at Compile()
   // (docs/SERVING.md, "Multi-resolution serving"). Each entry other than the
-  // graph's own resolution becomes a ShapeVariant sharing the base model's
+  // graph's own resolution becomes a registry variant sharing the root's
   // packed weights; resolutions not listed here can still be admitted later
-  // through GetOrCompileShapeBucket (lazy compilation), subject to
+  // through GetOrCompileVariant (lazy compilation), subject to
   // ResourceLimits::max_shape_buckets. Requires batch-1 rank-4 square
   // inputs; Compile() fails if any listed resolution is inadmissible, so a
   // misconfigured bucket list is caught at startup, not on first request.
   std::vector<int> input_resolutions;
 };
+
+// Registry key of a compiled variant: the square input resolution and the
+// leading batch dimension it executes. input_hw == 0 stands for the root's
+// own resolution.
+struct VariantKey {
+  int input_hw = 0;
+  int batch = 1;
+  friend auto operator<=>(const VariantKey&, const VariantKey&) = default;
+};
+
+// Largest batch a variant may be compiled for. Together with
+// ResourceLimits::max_shape_buckets this bounds the variant registry at
+// max_shape_buckets * kMaxVariantBatch entries however clients mix keys;
+// ServerOptions::max_batch_size must not exceed it.
+inline constexpr int kMaxVariantBatch = 32;
 
 // One executed node's latency record.
 struct OpProfile {
@@ -101,47 +128,32 @@ class CompiledModel {
   static Status Compile(const Graph& graph, CompileOptions options,
                         std::shared_ptr<const CompiledModel>* out);
 
-  // Compiles a sibling model that executes `base` over `batch` stacked
-  // requests (docs/SERVING.md). The variant owns its own batch-N graph
-  // clone, topological order, memory plan and arena size, but every
-  // weight-bearing kernel SHARES the base kernel's packed weights -- only
-  // the geometry-dependent state (indirection tables, tile plans) is
-  // rebuilt, so N batch variants cost one set of packed weights plus
-  // O(IR) metadata each. The variant keeps `base` alive. batch == 1
-  // returns `base` itself. Requires a base model (not itself a variant)
-  // whose graph has batch-1 inputs and outputs.
-  static Status CompileBatchVariant(
-      const std::shared_ptr<const CompiledModel>& base, int batch,
+  // The variant registry (docs/SERVING.md, "Variants"). Returns the variant
+  // of `model`'s root for `key`, compiling it on first use. key.input_hw == 0
+  // means the root's own resolution; the root's own key returns the root.
+  // The variant owns its graph clone, topological order and arena plan, but
+  // every weight-bearing kernel shares the root kernel's packed weights, so
+  // it costs O(IR) metadata plus its arena plan and reports 0 packed-weight
+  // bytes. `model` may be the root or any handle this registry gave out.
+  //
+  // Thread-safe: concurrent first requests for one key compile it once.
+  // The registry is bounded: at most ResourceLimits::max_shape_buckets
+  // distinct resolutions (the root's counts as one) and batch in
+  // [1, kMaxVariantBatch]; an unseen resolution past the cap or a batch
+  // over kMaxVariantBatch fails with ResourceExhausted. Inadmissible keys --
+  // a resolution ValidateShapeBucketRequest refuses, a graph whose ops
+  // cannot replay at the new shapes, a model whose inputs or outputs do not
+  // carry a batch-1 leading dimension -- fail with InvalidArgument (or
+  // ResourceExhausted for limit violations). On failure `*out` is
+  // untouched and nothing is registered.
+  static Status GetOrCompileVariant(
+      const std::shared_ptr<const CompiledModel>& model, VariantKey key,
       std::shared_ptr<const CompiledModel>* out);
 
-  // Compiles a sibling model that executes `root` at a different square
-  // input resolution (docs/SERVING.md, "Multi-resolution serving"). Like a
-  // batch variant, the shape variant owns its own graph clone, topological
-  // order and arena plan while every weight-bearing kernel shares the root
-  // kernel's packed weights; only spatial state (indirection tables, zero
-  // rows, tile plans) is rebuilt for the new geometry, so a bucket costs
-  // O(IR) metadata plus its arena plan and reports 0 packed-weight bytes.
-  // `root` must be a root model (batch 1, not itself a variant) with rank-4
-  // batch-1 inputs. input_hw equal to the root's own resolution returns
-  // `root` itself. Inadmissible shapes -- a graph whose ops cannot replay at
-  // the new resolution (e.g. flatten into a fixed fully-connected layer
-  // anywhere but global pooling), or a request outside ResourceLimits --
-  // fail with InvalidArgument / ResourceExhausted and `*out` untouched.
-  static Status CompileShapeVariant(
-      const std::shared_ptr<const CompiledModel>& root, int input_hw,
-      std::shared_ptr<const CompiledModel>* out);
-
-  // Bucket registry: returns the shape bucket for `input_hw`, compiling it
-  // on first use (lazy bucketing). input_hw == 0 or the root's own
-  // resolution returns `root`. Thread-safe; concurrent first requests for
-  // the same resolution compile it once. Enforces
-  // ResourceLimits::max_shape_buckets (counting the root as one bucket):
-  // beyond the cap, unseen resolutions are rejected with ResourceExhausted
-  // rather than compiling unbounded variants. Buckets registered here live
-  // as long as the root model.
-  static Status GetOrCompileShapeBucket(
-      const std::shared_ptr<const CompiledModel>& root, int input_hw,
-      std::shared_ptr<const CompiledModel>* out);
+  // Lookup only: the already-compiled variant for `key` (same key rules as
+  // GetOrCompileVariant), or null. Never compiles.
+  static std::shared_ptr<const CompiledModel> FindVariant(
+      const std::shared_ptr<const CompiledModel>& model, VariantKey key);
 
   ~CompiledModel();
 
@@ -156,29 +168,25 @@ class CompiledModel {
   // Bytes each ExecutionContext allocates for its arena.
   std::size_t arena_bytes() const { return arena_size_; }
   // Bytes of bitpacked weights held by this model's kernels -- allocated
-  // once here, shared by every context. Batch variants report 0: their
-  // kernels alias the base model's weights, and the resident-bytes gauge
-  // must stay flat however many variants exist.
+  // once here, shared by every context. Variants report 0: their kernels
+  // alias the root's weights, and the resident-bytes gauge must stay flat
+  // however many variants exist.
   std::size_t packed_weight_bytes() const { return packed_weight_bytes_; }
   const std::shared_ptr<ThreadPool>& thread_pool() const { return pool_; }
   gemm::KernelProfile kernel_profile() const { return kernel_profile_; }
   const std::string& model_name() const { return model_name_; }
-  // Leading-dimension batch this model executes per Invoke (1 for a base
-  // model, N for a CompileBatchVariant sibling).
+  // Leading-dimension batch this model executes per Invoke (1 for the
+  // root, key.batch for a variant).
   int batch() const { return batch_; }
-  // The base model a variant was compiled from; null for base models.
-  const CompiledModel* base_model() const { return base_.get(); }
   // Square input resolution this model executes: dim 1 of graph input 0
-  // (== dim 2; the shape-bucket surface only admits square rank-4 inputs).
-  // 0 when the graph has no rank-4 image input -- such models cannot be
-  // shape-bucketed but compile and serve normally at their one shape.
+  // (== dim 2; variants only resize square rank-4 inputs). 0 when the graph
+  // has no rank-4 image input -- such models have no resolution variants
+  // but compile, batch and serve normally at their one shape.
   int input_hw() const;
-  // The bucket key this model serves under: its own input_hw(), for both
-  // roots and variants (a batch variant inherits its base's bucket).
-  int shape_bucket_hw() const { return input_hw(); }
-  // Registered shape buckets on this root, base resolution included, sorted
-  // ascending. For a variant, delegates to its root. Snapshot under the
-  // registry lock; the count backs the serving.shape_buckets gauge.
+  // Distinct resolutions in the root's registry, the root's own included,
+  // sorted ascending (same answer from the root or any of its variants).
+  // Snapshot under the registry lock; the count backs the
+  // serving.shape_buckets gauge.
   std::vector<int> ShapeBucketResolutions() const;
 
  private:
@@ -186,20 +194,26 @@ class CompiledModel {
 
   explicit CompiledModel(const Graph& graph);
   CompiledModel(std::unique_ptr<const Graph> owned_graph,
-                std::shared_ptr<const CompiledModel> base);
-  // When `weight_source` is non-null this is a batch-variant build:
-  // `node_map` maps this graph's node ids to the source model's, and every
+                const CompiledModel* root);
+  // When `weight_source` is non-null this is a variant build: `node_map`
+  // maps this graph's node ids to the source model's, and every
   // weight-bearing kernel is constructed as a sibling sharing the mapped
   // source kernel's packed weights.
   Status Build(CompileOptions options, const CompiledModel* weight_source,
                const std::vector<int>* node_map);
+  // Clones this (root) model's graph at `key`'s input shapes and builds the
+  // weight-sharing variant. The caller has normalized and admission-checked
+  // `key`.
+  Status BuildVariant(VariantKey key,
+                      std::unique_ptr<const CompiledModel>* out) const;
 
   const Graph& graph_;
-  // Set only for batch variants: the variant owns its graph clone (base
-  // models borrow their caller's graph) and keeps the base model -- whose
-  // kernels own the shared packed weights -- alive.
+  // Set only for variants: the variant owns its graph clone (the root
+  // borrows its caller's graph).
   std::unique_ptr<const Graph> owned_graph_;
-  std::shared_ptr<const CompiledModel> base_;
+  // The root that owns this variant; null on the root itself. Non-owning:
+  // the root outlives its registry by construction.
+  const CompiledModel* root_ = nullptr;
   int batch_ = 1;
   std::shared_ptr<ThreadPool> pool_;
   gemm::KernelProfile kernel_profile_ = gemm::KernelProfile::kSimd;
@@ -219,9 +233,9 @@ class CompiledModel {
   // Prepared kernel objects, indexed by node id (only one is non-null).
   // Kernel Run() is const and keeps no per-invocation state (all scratch
   // comes from the caller's gemm::Context), so one kernel instance serves
-  // all concurrent contexts. shared_ptr because a batch variant aliases
-  // the base model's batch-agnostic kernels (bfc/fc) outright and holds
-  // weight-sharing siblings of the batch-dependent ones.
+  // all concurrent contexts. shared_ptr because a variant aliases the
+  // root's shape-agnostic kernels (bfc/fc) outright and holds
+  // weight-sharing siblings of the geometry-dependent ones.
   struct PreparedKernels {
     std::shared_ptr<const BConv2D> bconv;
     std::shared_ptr<const BFullyConnected> bfc;
@@ -231,25 +245,25 @@ class CompiledModel {
     std::shared_ptr<const FullyConnectedFloat> fc;
   };
   std::vector<PreparedKernels> kernels_;
-  // Retained for CompileBatchVariant (variants compile under the same
-  // limits and histogram setting as their base).
+  // Retained for variant builds (variants compile under the same limits
+  // and histogram setting as their root).
   ResourceLimits limits_;
   bool node_histograms_enabled_ = false;
 
-  // Shape-bucket registry (meaningful on root models only). Lazily grown by
-  // GetOrCompileShapeBucket, keyed by square input resolution; entries keep
-  // their variants alive for the root's lifetime so a bucket is compiled at
-  // most once per process however requests interleave. `mutable` because
-  // registering a bucket does not change the root's own immutable compiled
-  // state -- concurrent Invokes never touch it.
+  // The variant registry (meaningful on the root only): every variant ever
+  // compiled, owned here for the root's lifetime so a key is compiled at
+  // most once however requests interleave. `mutable` because registering a
+  // variant does not change the root's own immutable compiled state --
+  // concurrent Invokes never touch it.
   const CompiledModel* Root() const {
-    const CompiledModel* m = this;
-    while (m->base_ != nullptr) m = m->base_.get();
-    return m;
+    return root_ != nullptr ? root_ : this;
   }
+  // Registry helpers; caller holds bucket_mu_ (on the root).
+  std::vector<int> ResolutionsLocked() const;
   void PublishBucketGaugesLocked() const;
   mutable std::mutex bucket_mu_;
-  mutable std::map<int, std::shared_ptr<const CompiledModel>> shape_buckets_;
+  mutable std::map<VariantKey, std::unique_ptr<const CompiledModel>>
+      variants_;
 };
 
 struct ExecutionOptions {

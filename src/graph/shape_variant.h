@@ -1,25 +1,22 @@
-// Input-shape graph cloning for shape-bucketed compilation
-// (docs/SERVING.md, "Multi-resolution serving").
+// Input-shape graph cloning for compiled variants (docs/SERVING.md,
+// "Variants").
 //
-// A shape bucket runs the *same* model at a different input resolution, so
-// its graph differs from the base graph only in the spatial dimensions of
-// every non-constant value. CloneGraphWithInputSize rebuilds that graph by
-// replaying the base graph's live nodes against resized inputs: AddNode's
-// shape inference re-derives all geometry (conv/pool spatial dims, output
-// sizes) from the resized operand shapes, so no per-op shape handling lives
-// here. A model whose structure cannot follow the new resolution (for
+// A variant runs the *same* model at a different input shape -- another
+// square resolution, another leading batch dimension, or both -- so its
+// graph differs from the root graph only in the dimensions of its
+// non-constant values. CloneGraphWithInputShapes rebuilds that graph by
+// replaying the root graph's live nodes against reshaped inputs: AddNode's
+// shape inference re-derives all geometry (conv/pool spatial dims, batch,
+// output sizes) from the new operand shapes, so no per-op shape handling
+// lives here. A model whose structure cannot follow the new shape (for
 // example a flatten feeding a fixed-width fully connected layer) fails the
 // replay with InvalidArgument instead of producing a broken graph -- that
 // failure IS the shape-admissibility answer for such models.
 //
 // Constants are NOT copied: the clone's constant Values hold Tensors that
-// share the base graph's underlying buffers. The clone therefore costs
+// share the root graph's underlying buffers. The clone therefore costs
 // O(IR nodes), not O(model bytes) -- the packed weights stay shared one
-// level up, in CompiledModel::CompileShapeVariant.
-//
-// CloneGraphWithInputShapes is the shared replay engine; the batch-variant
-// clone (graph/batch_variant.h) delegates to it with widened leading
-// dimensions instead of resized spatial ones.
+// level up, in CompiledModel::GetOrCompileVariant.
 #ifndef LCE_GRAPH_SHAPE_VARIANT_H_
 #define LCE_GRAPH_SHAPE_VARIANT_H_
 
@@ -38,8 +35,8 @@ namespace lce {
 // node that cannot legally execute at the new shapes fails the clone with
 // the node's own InvalidArgument. On success `*out` holds the clone and,
 // when non-null, `*node_map` maps every clone node id to the id of the
-// source node it replays (used by the CompiledModel variant builders to
-// pair each clone kernel with the base kernel whose packed weights it
+// source node it replays (used by the CompiledModel variant builder to
+// pair each clone kernel with the root kernel whose packed weights it
 // shares).
 Status CloneGraphWithInputShapes(const Graph& src,
                                  const std::vector<Shape>& input_shapes,

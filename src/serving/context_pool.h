@@ -23,16 +23,17 @@
 //                   reused, and its slot is replenished lazily by a later
 //                   Acquire. `serving.pool.quarantined_total` counts these.
 //
-// VARIANTS. The pool can serve several sibling CompiledModels at once,
-// sharing one set of packed weights: batch variants
-// (CompiledModel::CompileBatchVariant) and shape buckets
-// (CompiledModel::CompileShapeVariant) in any combination. Each registered
-// model is keyed by (shape bucket, batch) -- Acquire(shape_hw, batch)
-// selects by that pair, so a context's arena always matches both the
-// resolution and the lane count of the work it receives; batch-size-only
-// lookup would hand a 96 px request a 224 px arena the moment two buckets
-// share a batch size. Release() resolves the variant by model identity,
-// which stays correct however many key dimensions variants grow.
+// VARIANTS. The pool serves one root CompiledModel and any of its
+// registry variants (CompiledModel::GetOrCompileVariant), all sharing one
+// set of packed weights. Free lists are keyed by the variant key
+// (input_hw, batch): Acquire(shape_hw, batch) selects by that pair, so a
+// context's arena always matches both the resolution and the lane count of
+// the work it receives; batch-size-only lookup would hand a 96 px request a
+// 224 px arena the moment two buckets share a batch size. The first
+// Acquire of a key looks the variant up in the root's registry
+// (CompiledModel::FindVariant; it never compiles) and keeps the handle next
+// to that key's free list, so later Acquires take only the pool lock. A
+// key the registry does not hold is InvalidArgument, never a fallback.
 //
 // The `capacity` bound covers contexts of *all* variants together:
 // checked-out plus parked contexts never exceed capacity, so resident
@@ -47,6 +48,7 @@
 #define LCE_SERVING_CONTEXT_POOL_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -58,43 +60,28 @@ namespace lce::serving {
 
 class ContextPool {
  public:
-  // Single-model pool: every Acquire targets `model` (batch-1 serving).
-  ContextPool(std::shared_ptr<const CompiledModel> model, int capacity,
+  // Pool over `root` and its registry variants.
+  ContextPool(std::shared_ptr<const CompiledModel> root, int capacity,
               ExecutionOptions options = {});
-  // Multi-variant pool: `models[i]` are sibling compilations of one model
-  // (each non-null, (shape bucket, batch) pairs unique). Acquire selects by
-  // CompiledModel::shape_bucket_hw() and CompiledModel::batch().
-  ContextPool(std::vector<std::shared_ptr<const CompiledModel>> models,
-              int capacity, ExecutionOptions options = {});
 
   ContextPool(const ContextPool&) = delete;
   ContextPool& operator=(const ContextPool&) = delete;
 
-  // Registers additional sibling variants after construction (lazy shape
-  // buckets: the server compiles a bucket on first request for an unseen
-  // resolution, then registers its batch variants here). Models whose
-  // (shape bucket, batch) key is already registered are ignored. Does not
-  // change `capacity`; the new variants compete for the same slots.
-  void AddModels(std::vector<std::shared_ptr<const CompiledModel>> models);
-
-  // Hands out a context for the first registered model (batch-1 serving).
+  // Hands out a context for the root model itself (batch-1 serving).
   // Fails with ResourceExhausted when every slot is checked out or when a
   // replacement context's arena allocation fails (in which case nothing is
   // leaked and a later Acquire retries the allocation).
   Status Acquire(std::unique_ptr<ExecutionContext>* out);
-  // Same, for the variant serving `batch` lanes in the first registered
-  // model's shape bucket (pre-shape-bucket call sites).
-  Status Acquire(int batch, std::unique_ptr<ExecutionContext>* out);
-  // Same, for the variant serving `batch` lanes at resolution `shape_hw`.
-  // InvalidArgument when no variant with that (shape bucket, batch) key was
-  // registered -- a variant miss is an error, never a silently-wrong arena.
+  // Same, for the variant serving `batch` lanes at resolution `shape_hw`
+  // (0 = the root's resolution). InvalidArgument when the root's registry
+  // holds no variant for that key -- a variant miss is an error, never a
+  // silently-wrong arena.
   Status Acquire(int shape_hw, int batch,
                  std::unique_ptr<ExecutionContext>* out);
 
   // Returns a context after a request. `invoke_status` is the request's
   // Invoke status -- Status::Ok() for a request that never invoked. The
-  // context goes back to its own variant's free list (resolved by model
-  // identity).
+  // context goes back to its own variant's free list.
   void Release(std::unique_ptr<ExecutionContext> ctx,
                const Status& invoke_status);
 
@@ -111,21 +98,22 @@ class ContextPool {
   std::int64_t evicted() const;
 
  private:
-  // Index into models_/free_ for the (shape bucket, batch) key, or -1.
-  // Caller holds mu_.
-  int VariantIndexLocked(int shape_hw, int batch) const;
-  // Index of the variant `model` itself, or -1. Caller holds mu_.
-  int ModelIndexLocked(const CompiledModel* model) const;
+  // One variant's handle and its parked contexts.
+  struct Slot {
+    std::shared_ptr<const CompiledModel> model;
+    std::vector<std::unique_ptr<ExecutionContext>> free;
+  };
 
+  const std::shared_ptr<const CompiledModel> root_;
   const int capacity_;
   const ExecutionOptions options_;
 
+  // Taken before the root's registry lock (first Acquire of a key), never
+  // after it.
   mutable std::mutex mu_;
-  // Registered variants; grows via AddModels, never shrinks (free_ stays
-  // index-aligned).
-  std::vector<std::shared_ptr<const CompiledModel>> models_;
-  // free_[i] parks idle contexts of models_[i].
-  std::vector<std::vector<std::unique_ptr<ExecutionContext>>> free_;
+  // Keyed by the variant's own (input_hw(), batch()); grows on the first
+  // Acquire of each key, never shrinks.
+  std::map<VariantKey, Slot> slots_;
   int outstanding_ = 0;
   std::int64_t quarantined_ = 0;
   std::int64_t evicted_ = 0;

@@ -171,49 +171,17 @@ void Request::Complete(Status status) {
   cv_.notify_all();
 }
 
-std::vector<std::shared_ptr<const CompiledModel>> Server::BuildModelSet(
-    const std::shared_ptr<const CompiledModel>& model,
-    const ServerOptions& options) {
-  // The startup bucket set: the base resolution, buckets already on the
-  // model's registry (CompileOptions::input_resolutions), and the server's
-  // own configured resolutions.
-  std::vector<int> resolutions = model->ShapeBucketResolutions();
-  resolutions.insert(resolutions.end(), options.input_resolutions.begin(),
-                     options.input_resolutions.end());
-  std::sort(resolutions.begin(), resolutions.end());
-  resolutions.erase(std::unique(resolutions.begin(), resolutions.end()),
-                    resolutions.end());
-
-  std::vector<std::shared_ptr<const CompiledModel>> models;
-  for (const int hw : resolutions) {
-    std::shared_ptr<const CompiledModel> bucket;
-    Status st = CompiledModel::GetOrCompileShapeBucket(model, hw, &bucket);
-    if (!st.ok()) {
-      std::fprintf(stderr,
-                   "[lce] shape bucket %d px compilation failed: %s\n", hw,
-                   st.message().c_str());
-      LCE_CHECK(st.ok() &&
-                "ServerOptions::input_resolutions requires admissible "
-                "resolutions");
-    }
-    models.push_back(bucket);
-    // One weight-sharing sibling per servable batch size, per bucket.
-    // Compilation cost is geometry-only (packed weights are shared, the
-    // resident-weights gauge does not move); a model whose outputs cannot
-    // carry a batch dimension is a configuration error, caught here at
-    // startup.
-    for (int n = 2; n <= options.max_batch_size; ++n) {
-      std::shared_ptr<const CompiledModel> variant;
-      st = CompiledModel::CompileBatchVariant(bucket, n, &variant);
-      if (!st.ok()) {
-        std::fprintf(stderr, "[lce] batch-%d variant compilation failed: %s\n",
-                     n, st.message().c_str());
-        LCE_CHECK(st.ok() && "max_batch_size > 1 requires a batchable model");
-      }
-      models.push_back(std::move(variant));
-    }
+Status Server::CompileBucket(int input_hw) {
+  // One weight-sharing variant per servable batch size. Compilation cost is
+  // geometry-only (packed weights are shared, the resident-weights gauge
+  // does not move), and the root's registry compiles each key once however
+  // many requests or servers ask for it.
+  for (int n = 1; n <= options_.max_batch_size; ++n) {
+    std::shared_ptr<const CompiledModel> variant;
+    LCE_RETURN_IF_ERROR(CompiledModel::GetOrCompileVariant(
+        base_model_, {input_hw, n}, &variant));
   }
-  return models;
+  return Status::Ok();
 }
 
 BatchScheduler::Options Server::SchedulerOptions(const ServerOptions& options) {
@@ -235,16 +203,30 @@ Server::Server(std::shared_ptr<const CompiledModel> model,
                ServerOptions options)
     : options_(std::move(options)),
       base_model_(std::move(model)),
-      pool_(BuildModelSet(base_model_, options_),
-            std::max(1, options_.max_inflight), options_.execution),
+      pool_(base_model_, std::max(1, options_.max_inflight),
+            options_.execution),
       recorder_(options_.flight_recorder),
       scheduler_(SchedulerOptions(options_)) {
   LCE_CHECK_GT(options_.max_queue_depth, 0);
   LCE_CHECK_GE(options_.max_batch_size, 1);
-  // BuildModelSet registered every startup bucket on the model's registry;
-  // mirror them here so shaped submits route without touching the compile
-  // path.
-  registered_buckets_ = base_model_->ShapeBucketResolutions();
+  // The startup bucket set: the base resolution, buckets already on the
+  // model's registry (CompileOptions::input_resolutions) and the server's
+  // own configured resolutions, each at every batch size. A failure is a
+  // configuration error -- an inadmissible resolution or, with
+  // max_batch_size > 1, a model that cannot be batched -- caught here.
+  std::vector<int> resolutions = base_model_->ShapeBucketResolutions();
+  resolutions.insert(resolutions.end(), options_.input_resolutions.begin(),
+                     options_.input_resolutions.end());
+  for (const int hw : resolutions) {
+    const Status st = CompileBucket(hw);
+    if (!st.ok()) {
+      std::fprintf(stderr, "[lce] %d px variant compilation failed: %s\n", hw,
+                   st.message().c_str());
+      LCE_CHECK(st.ok() &&
+                "ServerOptions requires admissible resolutions and, for "
+                "max_batch_size > 1, a batchable model");
+    }
+  }
   const int executors = std::max(1, options_.max_inflight);
   executors_.reserve(executors);
   for (int i = 0; i < executors; ++i) {
@@ -284,45 +266,22 @@ std::shared_ptr<Request> Server::Submit(FillFn fill, DoneFn done,
 }
 
 Status Server::ResolveShapeBucket(int input_hw, int* shape_key) {
-  if (input_hw == 0 || input_hw == base_model_->input_hw()) {
-    *shape_key = base_model_->input_hw();
-    return Status::Ok();
-  }
-  {
-    std::lock_guard<std::mutex> lock(shape_mu_);
-    if (std::find(registered_buckets_.begin(), registered_buckets_.end(),
-                  input_hw) != registered_buckets_.end()) {
-      *shape_key = input_hw;
-      return Status::Ok();
-    }
-  }
-  if (!options_.lazy_shape_compile) {
-    return Status::InvalidArgument(
-        "no pre-compiled shape bucket for resolution " +
-        std::to_string(input_hw) + " and lazy shape compilation is disabled");
-  }
-  // First request for an unseen resolution pays the bucket compile (O(IR),
-  // no weight packing). The model's registry dedups the bucket under
-  // concurrent first requests; the pool ignores duplicate (bucket, batch)
-  // keys, so the worst case for a race is a redundant batch-variant
-  // compile whose result is dropped.
-  std::shared_ptr<const CompiledModel> bucket;
-  LCE_RETURN_IF_ERROR(
-      CompiledModel::GetOrCompileShapeBucket(base_model_, input_hw, &bucket));
-  std::vector<std::shared_ptr<const CompiledModel>> add;
-  add.push_back(bucket);
-  for (int n = 2; n <= options_.max_batch_size; ++n) {
-    std::shared_ptr<const CompiledModel> variant;
-    LCE_RETURN_IF_ERROR(CompiledModel::CompileBatchVariant(bucket, n,
-                                                           &variant));
-    add.push_back(std::move(variant));
-  }
-  pool_.AddModels(std::move(add));
-  {
-    std::lock_guard<std::mutex> lock(shape_mu_);
-    if (std::find(registered_buckets_.begin(), registered_buckets_.end(),
-                  input_hw) == registered_buckets_.end()) {
-      registered_buckets_.push_back(input_hw);
+  if (input_hw == 0) input_hw = base_model_->input_hw();
+  // The base bucket's variants were all compiled at construction.
+  if (input_hw != base_model_->input_hw()) {
+    if (options_.lazy_shape_compile) {
+      // A first request for an unseen resolution pays the bucket compile
+      // (O(IR), no weight packing); later ones are registry lookups.
+      LCE_RETURN_IF_ERROR(CompileBucket(input_hw));
+    } else {
+      for (int n = 1; n <= options_.max_batch_size; ++n) {
+        if (CompiledModel::FindVariant(base_model_, {input_hw, n}) == nullptr) {
+          return Status::InvalidArgument(
+              "no pre-compiled shape bucket for resolution " +
+              std::to_string(input_hw) +
+              " and lazy shape compilation is disabled");
+        }
+      }
     }
   }
   *shape_key = input_hw;
@@ -442,10 +401,8 @@ ServerStats Server::StatsSnapshot() const {
   s.quarantined = pool_.quarantined();
   s.batches_executed = batches_executed_.load(std::memory_order_relaxed);
   s.shape_rejected = shape_rejected_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(shape_mu_);
-    s.shape_buckets = static_cast<int>(registered_buckets_.size());
-  }
+  s.shape_buckets =
+      static_cast<int>(base_model_->ShapeBucketResolutions().size());
   s.queue_depth = queue_depth();
   s.queue_depth_peak = queue_depth_peak_.load(std::memory_order_relaxed);
   s.next_request_id = next_request_id_.load(std::memory_order_relaxed);

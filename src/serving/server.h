@@ -28,16 +28,17 @@
 //   * BATCHING IS DYNAMIC. With `max_batch_size > 1` the admission queue
 //     is owned by a BatchScheduler: executors pull *batches* (closed by
 //     size or by a deadline-aware timeout, see serving/batch_scheduler.h)
-//     and run them as one batch-N Invoke on a sibling CompiledModel
-//     variant that shares the base model's packed weights. Requests keep
+//     and run them as one batch-N Invoke on a registry variant of the
+//     model (CompiledModel::GetOrCompileVariant) that shares the root's
+//     packed weights. Requests keep
 //     single-request semantics -- fill/done see a batch-1 lane view of the
 //     batched tensors, and one lane's expiry or cancellation evicts only
 //     that lane's result, never its batchmates'.
 //
 //   * RESOLUTIONS ARE BUCKETED (docs/SERVING.md, "Multi-resolution
 //     serving"). The shaped Submit/Infer overloads route a request to the
-//     shape bucket for its square input resolution: a weight-sharing
-//     CompiledModel sibling compiled for that resolution, pre-built from
+//     shape bucket for its square input resolution: the model's
+//     weight-sharing variants at that resolution, pre-built from
 //     ServerOptions::input_resolutions or compiled lazily on the first
 //     request for an unseen admissible resolution. Batches never mix
 //     buckets (the scheduler keys on the bucket), contexts are pooled per
@@ -86,9 +87,10 @@ struct ServerOptions {
   std::chrono::nanoseconds default_deadline{0};
   // Dynamic batching (docs/SERVING.md, "Batching semantics"). Up to
   // max_batch_size queued requests execute as one batch-N Invoke; the
-  // server compiles one weight-sharing batch variant per size in
-  // [2, max_batch_size] at construction (LCE_CHECK-fails for a model that
-  // cannot be batched). 1 = unbatched, the exact pre-batching behavior.
+  // server compiles one weight-sharing variant per size in
+  // [1, max_batch_size] and bucket at construction (LCE_CHECK-fails for a
+  // model that cannot be batched, or above kMaxVariantBatch). 1 =
+  // unbatched, the exact pre-batching behavior.
   int max_batch_size = 1;
   // How long the oldest queued request may wait for more lanes before its
   // batch closes anyway; the scheduler additionally closes early so no
@@ -306,19 +308,14 @@ class Server {
   FlightRecorder& flight_recorder() { return recorder_; }
 
  private:
-  // Compiles the startup model set: every shape bucket (the base, buckets
-  // already on the model's registry, and ServerOptions::input_resolutions)
-  // with its weight-sharing batch variants [2, max_batch_size]
-  // (LCE_CHECK-fails for an unbatchable model or an inadmissible
-  // configured resolution).
-  static std::vector<std::shared_ptr<const CompiledModel>> BuildModelSet(
-      const std::shared_ptr<const CompiledModel>& model,
-      const ServerOptions& options);
   static BatchScheduler::Options SchedulerOptions(const ServerOptions& options);
 
-  // Maps `input_hw` to its bucket's shape key, compiling and registering
-  // the bucket (and its batch variants) on first use when allowed. The
-  // rejection status is the submit-time answer for unservable resolutions.
+  // Gets or compiles the variants of bucket `input_hw` at every batch size
+  // in [1, max_batch_size] through the model's variant registry.
+  Status CompileBucket(int input_hw);
+  // Maps `input_hw` to its bucket's shape key, compiling the bucket on
+  // first use when lazy compilation is allowed. The rejection status is the
+  // submit-time answer for unservable resolutions.
   Status ResolveShapeBucket(int input_hw, int* shape_key);
 
   void ExecutorLoop();
@@ -332,8 +329,8 @@ class Server {
               ExecutionContext* ctx, bool admitted);
 
   const ServerOptions options_;
-  // The root model; kept for lazy shape-bucket compilation (buckets
-  // register on its registry and share its packed weights).
+  // The root model. Its variant registry holds every (bucket, batch)
+  // variant this server routes to; the pool looks them up there.
   const std::shared_ptr<const CompiledModel> base_model_;
   ContextPool pool_;
   FlightRecorder recorder_;
@@ -341,14 +338,6 @@ class Server {
   BatchScheduler scheduler_;
 
   std::vector<std::thread> executors_;
-
-  // Buckets this server can already route to (their batch variants are in
-  // the pool). A resolution absent here on a shaped Submit takes the lazy
-  // compile path; concurrent first requests may both compile (the model's
-  // registry dedups the bucket, the pool dedups registration) but register
-  // once.
-  mutable std::mutex shape_mu_;
-  std::vector<int> registered_buckets_;
 
   // Stats exporter thread state (separate mutex: the exporter must never
   // contend with the admission path).

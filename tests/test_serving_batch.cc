@@ -23,7 +23,6 @@
 #include "core/macros.h"
 #include "core/random.h"
 #include "gemm/context.h"
-#include "graph/batch_variant.h"
 #include "graph/compiled_model.h"
 #include "kernels/bconv2d.h"
 #include "models/builder.h"
@@ -224,7 +223,8 @@ void ExpectBatchedMatchesSerial(
     refs.push_back(SerialReference(base, seed_base + static_cast<std::uint64_t>(i)));
   }
   std::shared_ptr<const CompiledModel> variant;
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(base, batch, &variant).ok());
+  ASSERT_TRUE(
+      CompiledModel::GetOrCompileVariant(base, {0, batch}, &variant).ok());
   ASSERT_EQ(variant->batch(), batch);
 
   ExecutionContext ctx(variant);
@@ -270,13 +270,13 @@ TEST(BatchVariant, Batch1ReturnsTheBaseModelItself) {
   std::shared_ptr<const CompiledModel> base;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &base).ok());
   std::shared_ptr<const CompiledModel> variant;
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(base, 1, &variant).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(base, {0, 1}, &variant).ok());
   EXPECT_EQ(variant.get(), base.get());
 }
 
 // Batch variants must not duplicate packed weights: the resident gauge
-// stays flat through variant compilation and destruction, and each variant
-// reports zero resident bytes of its own.
+// stays flat through variant compilation and handle release, and each
+// variant reports zero resident bytes of its own.
 TEST(BatchVariant, PackedWeightsStayFlatAcrossVariants) {
   static const Graph* g = new Graph(MakeBatchableGraph());
   auto* gauge = telemetry::MetricsRegistry::Global().Gauge(
@@ -289,7 +289,8 @@ TEST(BatchVariant, PackedWeightsStayFlatAcrossVariants) {
     std::vector<std::shared_ptr<const CompiledModel>> variants;
     for (const int batch : {2, 3, 8}) {
       std::shared_ptr<const CompiledModel> v;
-      ASSERT_TRUE(CompiledModel::CompileBatchVariant(base, batch, &v).ok());
+      ASSERT_TRUE(
+          CompiledModel::GetOrCompileVariant(base, {0, batch}, &v).ok());
       EXPECT_EQ(v->packed_weight_bytes(), 0u)
           << "a batch variant must borrow, not own, the packed weights";
       variants.push_back(std::move(v));
@@ -298,7 +299,7 @@ TEST(BatchVariant, PackedWeightsStayFlatAcrossVariants) {
         << "compiling batch variants must not move the resident gauge";
   }
   EXPECT_EQ(gauge->value(), resident_with_base)
-      << "destroying batch variants must not move the resident gauge";
+      << "dropping batch variant handles must not move the resident gauge";
 }
 
 // ---------------------------------------------------------------------------
@@ -626,18 +627,18 @@ TEST(ServingBatch, NegativeDeadlineCompletesImmediatelyNotUpgraded) {
 TEST(ServingBatch, PoolBoundsResidentContextsAcrossBatchSizes) {
   auto model = CompileServingModel();
   std::shared_ptr<const CompiledModel> batch4;
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(model, 4, &batch4).ok());
-  ContextPool pool({model, batch4}, /*capacity=*/1);
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(model, {0, 4}, &batch4).ok());
+  ContextPool pool(model, /*capacity=*/1);
 
   std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(1, &ctx).ok());
+  ASSERT_TRUE(pool.Acquire(0, 1, &ctx).ok());
   EXPECT_EQ(ctx->model().batch(), 1);
   pool.Release(std::move(ctx), Status::Ok());
   EXPECT_EQ(pool.pooled(), 1);
 
   // Acquiring the other batch size with the lone slot parked under batch-1
   // must evict the idle batch-1 context, keeping resident <= capacity.
-  ASSERT_TRUE(pool.Acquire(4, &ctx).ok());
+  ASSERT_TRUE(pool.Acquire(0, 4, &ctx).ok());
   EXPECT_EQ(ctx->model().batch(), 4);
   EXPECT_EQ(pool.pooled(), 0);
   EXPECT_EQ(pool.outstanding(), 1);
@@ -645,7 +646,7 @@ TEST(ServingBatch, PoolBoundsResidentContextsAcrossBatchSizes) {
   pool.Release(std::move(ctx), Status::Ok());
   EXPECT_EQ(pool.pooled(), 1);
 
-  EXPECT_EQ(pool.Acquire(3, &ctx).code(), StatusCode::kInvalidArgument)
+  EXPECT_EQ(pool.Acquire(0, 3, &ctx).code(), StatusCode::kInvalidArgument)
       << "batch sizes without a compiled variant are refused";
 }
 

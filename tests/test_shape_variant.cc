@@ -1,11 +1,12 @@
 // Shape-bucketed compilation tests (docs/SERVING.md, "Multi-resolution
-// serving"): the graph-level shape-variant clone, CompileShapeVariant
+// serving"): the graph-level shape-variant clone, resolution-variant
 // bit-exactness against fresh single-shape compiles (float, depthwise,
 // binary and int8 pipelines), the packed-weights-stay-flat guarantee, the
-// GetOrCompileShapeBucket registry (caching, cap enforcement, rejection
-// codes), batch variants of shape buckets, the (shape bucket, batch)
-// ContextPool key regression, shape-keyed batch formation in the
-// scheduler, and mixed-resolution serving end to end. Part of the CI
+// GetOrCompileVariant registry (caching, cap enforcement, rejection codes,
+// ownership: dropping every handle frees the root), batch variants of
+// shape buckets, the (shape bucket, batch) ContextPool key regression,
+// shape-keyed batch formation in the scheduler, and mixed-resolution
+// serving end to end. Part of the CI
 // ThreadSanitizer job (name matches no serving regex, but the server tests
 // here run multi-threaded executors).
 #include <gtest/gtest.h>
@@ -170,8 +171,15 @@ TEST(ShapeVariantGraph, RejectsNonsenseAndNonImageInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// CompileShapeVariant: bit-exactness and weight sharing.
+// Resolution variants: bit-exactness and weight sharing.
 // ---------------------------------------------------------------------------
+
+// True when `a` and `b` share one control block: a variant handle must pin
+// its root, not own an independent reference count.
+bool SameOwner(const std::shared_ptr<const CompiledModel>& a,
+               const std::shared_ptr<const CompiledModel>& b) {
+  return !a.owner_before(b) && !b.owner_before(a);
+}
 
 // The contract: a bucket's outputs are bit-identical to a fresh
 // single-shape compile of the same architecture at that resolution.
@@ -188,9 +196,9 @@ void ExpectBucketMatchesFreshCompile(Graph (*make)(int), int base_hw,
   ASSERT_TRUE(CompiledModel::Compile(base_graph, {}, &root).ok());
   ASSERT_TRUE(CompiledModel::Compile(fresh_graph, {}, &fresh).ok());
   ASSERT_TRUE(
-      CompiledModel::CompileShapeVariant(root, bucket_hw, &bucket).ok());
+      CompiledModel::GetOrCompileVariant(root, {bucket_hw, 1}, &bucket).ok());
   ASSERT_EQ(bucket->input_hw(), bucket_hw);
-  EXPECT_EQ(bucket->base_model(), root.get());
+  EXPECT_TRUE(SameOwner(bucket, root));
 
   const std::vector<float> want = RunOnce(fresh, seed);
   const std::vector<float> got = RunOnce(bucket, seed);
@@ -228,7 +236,8 @@ TEST(ShapeVariant, Int8RequantizePipelineBitExact) {
     keep->push_back(std::move(clone));
     std::shared_ptr<const CompiledModel> fresh, bucket;
     ASSERT_TRUE(CompiledModel::Compile(*keep->back(), {}, &fresh).ok());
-    ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, hw, &bucket).ok());
+    ASSERT_TRUE(
+        CompiledModel::GetOrCompileVariant(root, {hw, 1}, &bucket).ok());
     const std::uint64_t seed = 2000 + static_cast<std::uint64_t>(hw);
     const std::vector<float> want = RunOnce(fresh, seed);
     const std::vector<float> got = RunOnce(bucket, seed);
@@ -244,7 +253,7 @@ TEST(ShapeVariant, OwnResolutionReturnsTheRootItself) {
   static const Graph* g = new Graph(MakeMixedGraph(16));
   std::shared_ptr<const CompiledModel> root, same;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, 16, &same).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {16, 1}, &same).ok());
   EXPECT_EQ(same.get(), root.get());
 }
 
@@ -260,7 +269,7 @@ TEST(ShapeVariant, PackedWeightsStayFlatAcrossBuckets) {
     std::vector<std::shared_ptr<const CompiledModel>> buckets;
     for (const int hw : {8, 24, 32}) {
       std::shared_ptr<const CompiledModel> v;
-      ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, hw, &v).ok());
+      ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {hw, 1}, &v).ok());
       EXPECT_EQ(v->packed_weight_bytes(), 0u)
           << "a shape bucket must borrow, not own, the packed weights";
       buckets.push_back(std::move(v));
@@ -269,19 +278,19 @@ TEST(ShapeVariant, PackedWeightsStayFlatAcrossBuckets) {
         << "compiling shape buckets must not move the resident gauge";
   }
   EXPECT_EQ(gauge->value(), resident_with_root)
-      << "destroying shape buckets must not move the resident gauge";
+      << "dropping bucket handles must not move the resident gauge";
 }
 
 TEST(ShapeVariant, BatchVariantOfABucketIsBitExact) {
-  // The chained case the serving layer relies on: batch-N variant OF a
-  // shape bucket, weights aliased through two hops back to the root.
+  // The combined key the serving layer relies on: batch-N at a bucket
+  // resolution, compiled in one replay with weights aliased to the root.
   static const Graph* g = new Graph(MakeMixedGraph(16));
   std::shared_ptr<const CompiledModel> root, bucket, batched;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, 24, &bucket).ok());
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(bucket, 3, &batched).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 1}, &bucket).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 3}, &batched).ok());
   EXPECT_EQ(batched->batch(), 3);
-  EXPECT_EQ(batched->shape_bucket_hw(), 24);
+  EXPECT_EQ(batched->input_hw(), 24);
   EXPECT_EQ(batched->packed_weight_bytes(), 0u);
 
   std::vector<std::vector<float>> refs;
@@ -316,13 +325,18 @@ TEST(ShapeBucketRegistry, CachesCompiledBucketsByResolution) {
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
 
   std::shared_ptr<const CompiledModel> a, b, self;
-  ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 24, &a).ok());
-  ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 24, &b).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 1}, &a).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 1}, &b).ok());
   EXPECT_EQ(a.get(), b.get()) << "second request must hit the registry";
-  ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 0, &self).ok());
+  EXPECT_EQ(CompiledModel::FindVariant(root, {24, 1}).get(), a.get());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {0, 1}, &self).ok());
   EXPECT_EQ(self.get(), root.get()) << "0 selects the base bucket";
-  ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 16, &self).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {16, 1}, &self).ok());
   EXPECT_EQ(self.get(), root.get());
+  // Batch variants share the registry and do not add resolutions.
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 2}, &b).ok());
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(CompiledModel::FindVariant(root, {24, 2}).get(), b.get());
 
   const std::vector<int> res = root->ShapeBucketResolutions();
   ASSERT_EQ(res.size(), 2u);
@@ -363,14 +377,19 @@ TEST(ShapeBucketRegistry, CapRejectsUnseenResolutionsResourceExhausted) {
   ASSERT_TRUE(CompiledModel::Compile(*g, opts, &root).ok());
 
   std::shared_ptr<const CompiledModel> v;
-  ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 24, &v).ok());
-  ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 32, &v).ok());
-  EXPECT_EQ(CompiledModel::GetOrCompileShapeBucket(root, 40, &v).code(),
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 1}, &v).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {32, 1}, &v).ok());
+  EXPECT_EQ(CompiledModel::GetOrCompileVariant(root, {40, 1}, &v).code(),
             StatusCode::kResourceExhausted)
       << "a client cycling resolutions must not compile unbounded variants";
-  // Registered buckets (and the root) stay servable at the cap.
-  ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 24, &v).ok());
-  ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 16, &v).ok());
+  EXPECT_EQ(CompiledModel::GetOrCompileVariant(root, {40, 2}, &v).code(),
+            StatusCode::kResourceExhausted)
+      << "a batch variant of an unseen resolution counts against the cap";
+  // Registered buckets (and the root) stay servable at the cap, at any
+  // batch size.
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 1}, &v).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {16, 1}, &v).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {32, 4}, &v).ok());
 }
 
 TEST(ShapeBucketRegistry, RejectionCodesMatchTheValidatorContract) {
@@ -378,11 +397,66 @@ TEST(ShapeBucketRegistry, RejectionCodesMatchTheValidatorContract) {
   std::shared_ptr<const CompiledModel> root;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
   std::shared_ptr<const CompiledModel> v;
-  EXPECT_EQ(CompiledModel::GetOrCompileShapeBucket(root, -1, &v).code(),
+  EXPECT_EQ(CompiledModel::GetOrCompileVariant(root, {-1, 1}, &v).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(CompiledModel::GetOrCompileShapeBucket(root, 1 << 20, &v).code(),
+  EXPECT_EQ(CompiledModel::GetOrCompileVariant(root, {1 << 20, 1}, &v).code(),
             StatusCode::kResourceExhausted)
       << "past max_input_hw is a limit violation, not a semantic defect";
+  EXPECT_EQ(CompiledModel::GetOrCompileVariant(root, {16, 0}, &v).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      CompiledModel::GetOrCompileVariant(root, {16, kMaxVariantBatch + 1}, &v)
+          .code(),
+      StatusCode::kResourceExhausted)
+      << "past kMaxVariantBatch is a limit violation, not a semantic defect";
+  EXPECT_EQ(v, nullptr) << "a rejected key must leave *out untouched";
+}
+
+// Ownership: the root owns its variants and every handle pins the root, so
+// there is no reference cycle -- dropping the last handle of any kind (the
+// root, variant handles, the server and its pooled contexts) frees the
+// root, every variant, and the packed weights they share.
+TEST(VariantRegistry, DroppingEveryHandleFreesTheRootAndItsVariants) {
+  static const Graph* g = new Graph(MakeMixedGraph(16));
+  auto* gauge = telemetry::MetricsRegistry::Global().Gauge(
+      "weights.resident_packed_bytes");
+  const std::int64_t resident_before = gauge->value();
+  std::weak_ptr<const CompiledModel> weak_root;
+  {
+    CompileOptions opts;
+    opts.input_resolutions = {24, 32};
+    std::shared_ptr<const CompiledModel> root;
+    ASSERT_TRUE(CompiledModel::Compile(*g, opts, &root).ok());
+    ASSERT_GT(gauge->value(), resident_before);
+    weak_root = root;
+    std::vector<std::shared_ptr<const CompiledModel>> handles;
+    for (const int hw : {24, 32}) {
+      for (const int batch : {2, 4}) {
+        std::shared_ptr<const CompiledModel> v;
+        ASSERT_TRUE(
+            CompiledModel::GetOrCompileVariant(root, {hw, batch}, &v).ok());
+        handles.push_back(std::move(v));
+      }
+    }
+    {
+      ServerOptions sopts;
+      sopts.max_inflight = 1;
+      sopts.max_batch_size = 2;
+      Server server(root, sopts);
+      ASSERT_TRUE(server
+                      .Infer(24, [](ExecutionContext& ctx) {
+                        FillInput(ctx.input(0), 7);
+                      })
+                      .ok());
+    }
+    // Variant handles alone keep the root alive.
+    root.reset();
+    EXPECT_FALSE(weak_root.expired());
+  }
+  EXPECT_TRUE(weak_root.expired())
+      << "root still alive after every handle was dropped (ownership cycle)";
+  EXPECT_EQ(gauge->value(), resident_before)
+      << "packed weights leaked past the last handle";
 }
 
 // ---------------------------------------------------------------------------
@@ -393,14 +467,13 @@ TEST(ShapeBucketRegistry, RejectionCodesMatchTheValidatorContract) {
 
 TEST(ShapeBucketPool, AcquireSelectsByShapeAndBatchNeverByBatchAlone) {
   static const Graph* g = new Graph(MakeMixedGraph(16));
-  std::shared_ptr<const CompiledModel> root, b24;
+  std::shared_ptr<const CompiledModel> root, b24, root_x2, b24_x2;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, 24, &b24).ok());
-  std::shared_ptr<const CompiledModel> root_x2, b24_x2;
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(root, 2, &root_x2).ok());
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(b24, 2, &b24_x2).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 1}, &b24).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {16, 2}, &root_x2).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 2}, &b24_x2).ok());
 
-  ContextPool pool({root, root_x2, b24, b24_x2}, /*capacity=*/4);
+  ContextPool pool(root, /*capacity=*/4);
 
   // Same batch size, different buckets: each Acquire must land on the
   // model whose arena matches the requested resolution.
@@ -412,31 +485,35 @@ TEST(ShapeBucketPool, AcquireSelectsByShapeAndBatchNeverByBatchAlone) {
   EXPECT_EQ(c16->input(0).shape().dim(1), 16);
   EXPECT_EQ(c24->input(0).shape().dim(1), 24);
 
-  // Release resolves by model identity: each context parks under its own
-  // variant and comes back for the matching key.
+  // Each context parks under its own variant's key and comes back for the
+  // matching key.
   pool.Release(std::move(c16), Status::Ok());
   pool.Release(std::move(c24), Status::Ok());
   ASSERT_TRUE(pool.Acquire(24, 2, &c24).ok());
   EXPECT_EQ(&c24->model(), b24_x2.get());
 
-  // A key that was never registered is an error, never a wrong arena.
+  // A key that was never compiled is an error, never a wrong arena.
   std::unique_ptr<ExecutionContext> miss;
   EXPECT_EQ(pool.Acquire(32, 1, &miss).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(pool.Acquire(16, 3, &miss).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShapeBucketPool, AddModelsRegistersLazyBucketsAndDedups) {
+TEST(ShapeBucketPool, PicksUpVariantsCompiledAfterConstruction) {
   static const Graph* g = new Graph(MakeMixedGraph(16));
   std::shared_ptr<const CompiledModel> root, b24;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, 24, &b24).ok());
 
   ContextPool pool(root, /*capacity=*/2);
   std::unique_ptr<ExecutionContext> ctx;
   ASSERT_EQ(pool.Acquire(24, 1, &ctx).code(), StatusCode::kInvalidArgument);
-  pool.AddModels({b24, b24, root});  // duplicates and re-registrations
+  // A lazily compiled bucket is visible to the pool through the root's
+  // registry; there is no second registration step.
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 1}, &b24).ok());
   ASSERT_TRUE(pool.Acquire(24, 1, &ctx).ok());
   EXPECT_EQ(&ctx->model(), b24.get());
+  pool.Release(std::move(ctx), Status::Ok());
+  ASSERT_TRUE(pool.Acquire(0, 1, &ctx).ok()) << "0 selects the root";
+  EXPECT_EQ(&ctx->model(), root.get());
   pool.Release(std::move(ctx), Status::Ok());
 }
 
@@ -447,12 +524,12 @@ TEST(ShapeBucketPool, EvictionRealizesCrossBucketArenaHighWater) {
   static const Graph* g = new Graph(MakeMixedGraph(16));
   std::shared_ptr<const CompiledModel> root, b24;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, 24, &b24).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileVariant(root, {24, 1}, &b24).ok());
   auto* resident = telemetry::MetricsRegistry::Global().Gauge(
       "serving.resident_arena_bytes");
   const std::int64_t before = resident->value();
 
-  ContextPool pool({root, b24}, /*capacity=*/1);
+  ContextPool pool(root, /*capacity=*/1);
   const std::int64_t evicted_before = pool.evicted();
   std::unique_ptr<ExecutionContext> ctx;
   ASSERT_TRUE(pool.Acquire(16, 1, &ctx).ok());

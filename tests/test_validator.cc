@@ -381,8 +381,8 @@ TEST(Validator, ShapeBucketRequiresImageShapedBatch1Inputs) {
   batched.MarkOutput(y);
   EXPECT_EQ(ValidateShapeBucketRequest(batched, 32).code(),
             StatusCode::kInvalidArgument)
-      << "buckets are batch-1 by construction; batch-N comes from "
-         "CompileBatchVariant on top";
+      << "a root graph is batch-1; batch-N is its own registry key, "
+         "GetOrCompileVariant(root, {hw, N})";
 }
 
 TEST(Validator, ShapeBucketAbsurdBucketCountIsCappedByTheRegistry) {
