@@ -15,7 +15,9 @@
 // The `--json=<path>` variant sweep below additionally ablates the shared
 // ConvPipeline row-tile engine at the kernel level: binarized depthwise,
 // grouped binary, and int8 convolutions, each fused (the production
-// row-tile path) vs force_unfused (the legacy full-image pipeline). The
+// row-tile path) vs force_unfused (the legacy full-image pipeline), and the
+// full-precision float convolution against its im2col + GEMM oracle
+// (kernels/reference.h, the retired production path). The
 // committed BENCH_conv_pipeline.json at the repo root is this report; the
 // perf-smoke CI job asserts its per-variant fused/interior tile counters
 // and the fused >= legacy geomean per variant.
@@ -28,7 +30,9 @@
 #include "gemm/int8_isa.h"
 #include "kernels/bconv2d.h"
 #include "kernels/bdepthwise.h"
+#include "kernels/conv2d_float.h"
 #include "kernels/conv2d_int8.h"
+#include "kernels/reference.h"
 #include "models/zoo.h"
 #include "telemetry/run_report.h"
 
@@ -226,6 +230,50 @@ void SweepConvPipelineVariants(gemm::Context& ctx,
       char shape[64];
       std::snprintf(shape, sizeof(shape), "%dx%dx%d_g%d", c.hw, c.hw, c.ch,
                     c.groups);
+      sweep.Add(shape, f, l);
+    }
+    sweep.Finish();
+  }
+
+  {  // Full-precision float (QuickNet stem and 1x1 transitions); legacy is
+     // the im2col + FloatGemm oracle the production kernel replaced.
+    VariantSweep sweep("conv2d_float", report);
+    const struct {
+      int hw, in_c, out_c, k, stride;
+    } cases[] = {{224, 3, 16, 3, 2}, {56, 32, 64, 3, 1}, {28, 64, 128, 1, 1}};
+    for (const auto& c : cases) {
+      Conv2DGeometry g;
+      g.in_h = g.in_w = c.hw;
+      g.in_c = c.in_c;
+      g.out_c = c.out_c;
+      g.filter_h = g.filter_w = c.k;
+      g.stride_h = g.stride_w = c.stride;
+      g.padding = c.k == 1 ? Padding::kValid : Padding::kSameZero;
+      Rng rng(c.hw + c.in_c + c.k);
+      Tensor in(DataType::kFloat32, Shape{1, c.hw, c.hw, c.in_c});
+      FillUniform(in, rng);
+      std::vector<float> w(static_cast<std::size_t>(c.out_c) * c.k * c.k *
+                           c.in_c);
+      for (auto& v : w) v = rng.Uniform();
+      std::vector<float> bias(c.out_c);
+      for (auto& v : bias) v = rng.Uniform();
+      Conv2DFloatAttrs attrs;
+      attrs.geo = g;
+      attrs.activation = Activation::kRelu;
+      attrs.bias = bias;
+      Conv2DFloat fused(w.data(), attrs);
+      Tensor out(DataType::kFloat32, Shape{1, g.out_h(), g.out_w(), c.out_c});
+      std::vector<float> legacy_out(out.num_elements());
+      const auto [f, l] = FusedVsLegacy(
+          [&] { fused.Run(in, out, ctx); },
+          [&] {
+            RefConv2DFloatIm2ColGemm(in.data<float>(), w.data(), g,
+                                     bias.data(), Activation::kRelu, ctx,
+                                     legacy_out.data());
+          });
+      char shape[64];
+      std::snprintf(shape, sizeof(shape), "%dx%dx%d-%d_k%d_s%d", c.hw, c.hw,
+                    c.in_c, c.out_c, c.k, c.stride);
       sweep.Add(shape, f, l);
     }
     sweep.Finish();

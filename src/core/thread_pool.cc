@@ -1,6 +1,7 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <vector>
 
@@ -11,19 +12,121 @@
 #include "telemetry/tracer.h"
 
 namespace lce {
+namespace {
 
-ThreadPool::ThreadPool(int num_threads) : num_threads_(std::max(1, num_threads)) {
-  for (int i = 0; i < num_threads_ - 1; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+// How long an idle worker, or a submitter waiting on its last shards, spins
+// before parking. Long enough to bridge the serial gap between two kernel
+// nodes of one Invoke (the caller's dispatch plus a serial op), short
+// enough that an idle pool goes quiet within a fraction of a millisecond.
+constexpr std::uint64_t kSpinNanos = 200'000;
+// Spin iterations between clock reads.
+constexpr int kSpinsPerClockRead = 64;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
+// One ParallelFor call, on its submitter's stack. Lives until every shard
+// has been reported done.
+struct ThreadPool::Job {
+  Job(int shards, Status (*run)(const void*, int), const void* run_ctx)
+      : run(run),
+        run_ctx(run_ctx),
+        shards(shards),
+        all_claimed(shards == 64 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << shards) - 1) {}
+
+  // Claims shard `home` if it is still free, else the lowest free shard.
+  // Returns -1 once every shard is claimed.
+  int Claim(int home) {
+    if (home < shards) {
+      const std::uint64_t bit = std::uint64_t{1} << home;
+      if ((claimed.load(std::memory_order_relaxed) & bit) == 0 &&
+          (claimed.fetch_or(bit, std::memory_order_acq_rel) & bit) == 0) {
+        return home;
+      }
+    }
+    std::uint64_t c = claimed.load(std::memory_order_relaxed);
+    while (c != all_claimed) {
+      const int s = std::countr_zero(~c & all_claimed);
+      const std::uint64_t bit = std::uint64_t{1} << s;
+      c = claimed.fetch_or(bit, std::memory_order_acq_rel);
+      if ((c & bit) == 0) return s;
+      c |= bit;
+    }
+    return -1;
+  }
+
+  // The lowest-indexed failing shard wins, so the reported status is
+  // deterministic regardless of scheduling order. Only failing shards take
+  // the lock.
+  void RecordError(int s, Status st) {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (s < first_error_shard) {
+      first_error_shard = s;
+      first_error = std::move(st);
+    }
+  }
+
+  Status (*const run)(const void*, int);
+  const void* const run_ctx;
+  const int shards;
+  const std::uint64_t all_claimed;
+  std::atomic<std::uint64_t> claimed{0};
+  std::atomic<int> done{0};
+  std::mutex error_mu;
+  int first_error_shard = kMaxThreads;  // sentinel: no error
+  Status first_error;
+};
+
+void ThreadPool::SpinLock::lock() {
+  while (held_.exchange(true, std::memory_order_acquire)) {
+    while (held_.load(std::memory_order_relaxed)) CpuRelax();
+  }
+}
+
+template <typename Pred>
+bool ThreadPool::SpinUntil(const Pred& pred) {
+  std::uint64_t deadline = 0;
+  for (int i = 1;; ++i) {
+    if (pred()) return true;
+    CpuRelax();
+    if (i % kSpinsPerClockRead == 0) {
+      const std::uint64_t now = telemetry::NowNanos();
+      if (deadline == 0) {
+        deadline = now + kSpinNanos;
+      } else if (now >= deadline) {
+        return pred();
+      }
+      // Past the first clock read, offer the core to any other runnable
+      // thread between checks: when the machine is oversubscribed, the
+      // thread that would make `pred` true may be waiting for this core.
+      std::this_thread::yield();
+    }
+  }
+}
+
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(std::clamp(num_threads, 1, kMaxThreads)) {
+  for (int i = 1; i < num_threads_; ++i) {
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
+    // Under park_mu_ so a worker between its predicate check and its wait
+    // cannot miss the flag; spinning workers see it directly.
+    std::lock_guard<std::mutex> lock(park_mu_);
+    shutdown_.store(true, std::memory_order_seq_cst);
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
@@ -42,30 +145,64 @@ std::shared_ptr<ThreadPool> ThreadPool::Shared(int num_threads) {
   return pool;
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(int home) {
   for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (shutdown_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop();
+    // Read before looking for work: a job posted after this read changes
+    // posts_, one posted before it is already in jobs_.
+    const std::uint64_t seen = posts_.load(std::memory_order_seq_cst);
+    if (RunOneShard(home)) continue;
+    const auto woken = [&] {
+      return shutdown_.load(std::memory_order_seq_cst) ||
+             posts_.load(std::memory_order_seq_cst) != seen;
+    };
+    if (!SpinUntil(woken)) {
+      // Park. Incrementing parked_workers_ before re-checking posts_ pairs
+      // with the submitter's increment of posts_ before it reads
+      // parked_workers_ (both seq_cst): at least one side sees the other,
+      // so either this check succeeds or the submitter notifies.
+      std::unique_lock<std::mutex> lock(park_mu_);
+      parked_workers_.fetch_add(1, std::memory_order_seq_cst);
+      work_cv_.wait(lock, woken);
+      parked_workers_.fetch_sub(1, std::memory_order_relaxed);
     }
-    task.fn();
+    if (shutdown_.load(std::memory_order_acquire)) return;
   }
 }
 
-bool ThreadPool::RunOneTask() {
-  Task task;
+bool ThreadPool::RunOneShard(int home) {
+  Job* job = nullptr;
+  int s = -1;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop();
+    // Claims happen under the list lock: a listed job is alive, and its
+    // submitter unlists it (under the same lock) before waiting for it.
+    std::lock_guard<SpinLock> lock(jobs_lock_);
+    for (Job* j : jobs_) {
+      s = j->Claim(home);
+      if (s >= 0) {
+        job = j;
+        break;
+      }
+    }
   }
-  task.fn();
+  if (job == nullptr) return false;
+  FinishShard(job, s);
   return true;
+}
+
+void ThreadPool::FinishShard(Job* job, int s) {
+  Status st = job->run(job->run_ctx, s);
+  if (!st.ok()) job->RecordError(s, std::move(st));
+  const int shards = job->shards;
+  // Release: the shard's writes (output, error slot, span timing) are
+  // visible to the submitter once it observes the count.
+  const bool last =
+      job->done.fetch_add(1, std::memory_order_seq_cst) + 1 == shards;
+  // `job` may be gone from here on. Same Dekker pairing as parking workers:
+  // the count is bumped before parked_submitters_ is read.
+  if (last && parked_submitters_.load(std::memory_order_seq_cst) > 0) {
+    { std::lock_guard<std::mutex> lock(park_mu_); }
+    done_cv_.notify_all();
+  }
 }
 
 void ThreadPool::ParallelFor(
@@ -115,13 +252,22 @@ Status ThreadPool::TryParallelForShard(
   // Per-shard wall times, only gathered while tracing. Feeds the shard
   // spans (emitted on each worker's own track) and the imbalance gauge.
   std::vector<std::uint64_t> shard_ns(tracing ? shards : 0, 0);
+  // Balanced split: base indices per shard, with the first `rem` shards
+  // taking one extra. The previous ceil-based split could leave tail shards
+  // empty (count=5, shards=4 gave loads 2,2,1,0).
+  const std::int64_t base = count / shards;
+  const std::int64_t rem = count % shards;
+  const auto shard_begin = [base, rem](int s) {
+    return s * base + std::min<std::int64_t>(s, rem);
+  };
   // Runs one shard: fault point (stalled-worker injection), optional span,
   // then the user fn. Every shard runs to completion even if a sibling has
   // already failed -- a partial result is only ever reported through the
   // returned status, never through shards silently skipping work.
-  const auto run_shard = [&](int s, std::int64_t begin,
-                             std::int64_t end) -> Status {
+  const auto run_shard = [&](int s) -> Status {
     LCE_FAULT_ON_SHARD(s);
+    const std::int64_t begin = shard_begin(s);
+    const std::int64_t end = shard_begin(s + 1);
     if (!tracing) return fn(s, begin, end);
     const std::uint64_t s0 = telemetry::NowNanos();
     Status st = fn(s, begin, end);
@@ -131,68 +277,39 @@ Status ThreadPool::TryParallelForShard(
     shard_ns[s] = s1 - s0;
     return st;
   };
-  if (shards == 1) return run_shard(0, 0, count);
-  // Balanced split: base indices per shard, with the first `rem` shards
-  // taking one extra. The previous ceil-based split could leave tail shards
-  // empty (count=5, shards=4 gave loads 2,2,1,0).
-  const std::int64_t base = count / shards;
-  const std::int64_t rem = count % shards;
-  const auto shard_begin = [base, rem](int s) {
-    return s * base + std::min<std::int64_t>(s, rem);
+  // Pool of one (or a single index): inline, no dispatch state touched.
+  if (shards == 1) return run_shard(0);
+
+  using RunShard = decltype(run_shard);
+  Job job(shards,
+          [](const void* ctx, int s) {
+            return (*static_cast<const RunShard*>(ctx))(s);
+          },
+          &run_shard);
+  {
+    std::lock_guard<SpinLock> lock(jobs_lock_);
+    jobs_.push_back(&job);
+    posts_.fetch_add(1, std::memory_order_seq_cst);
+  }
+  if (parked_workers_.load(std::memory_order_seq_cst) > 0) {
+    { std::lock_guard<std::mutex> lock(park_mu_); }
+    work_cv_.notify_all();
+  }
+  // Shard 0 first, then whatever no worker has claimed yet: a submitter can
+  // always finish its own call, even when every worker is busy elsewhere.
+  for (int s = job.Claim(0); s >= 0; s = job.Claim(0)) FinishShard(&job, s);
+  {
+    std::lock_guard<SpinLock> lock(jobs_lock_);
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+  }
+  const auto all_done = [&] {
+    return job.done.load(std::memory_order_seq_cst) == shards;
   };
-  // Per-call completion state, on the submitter's stack. `remaining` is a
-  // plain counter guarded by done_mu: workers decrement it (and notify)
-  // under the lock, and the submitter's final wait re-checks it under the
-  // same lock, so by the time ParallelFor returns no worker can still be
-  // touching this frame. done_mu also orders the shard_ns writes above and
-  // guards the first-error slot: the lowest-indexed failing shard wins, so
-  // the reported status is deterministic regardless of scheduling order.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  int remaining = shards - 1;
-  Status first_error;
-  int first_error_shard = shards;  // sentinel: no error
-  const auto record_error = [&](int s, Status st) {
-    // Caller must hold done_mu.
-    if (!st.ok() && s < first_error_shard) {
-      first_error_shard = s;
-      first_error = std::move(st);
-    }
-  };
-  // Enqueue shards 1..n-1; run shard 0 on the caller.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int s = 1; s < shards; ++s) {
-      const std::int64_t begin = shard_begin(s);
-      const std::int64_t end = shard_begin(s + 1);
-      queue_.push(Task{[&, s, begin, end] {
-        Status st = run_shard(s, begin, end);
-        std::lock_guard<std::mutex> done_lock(done_mu);
-        record_error(s, std::move(st));
-        if (--remaining == 0) done_cv.notify_one();
-      }});
-    }
-  }
-  cv_.notify_all();
-  {
-    Status st0 = run_shard(0, 0, shard_begin(1));
-    std::lock_guard<std::mutex> done_lock(done_mu);
-    record_error(0, std::move(st0));
-  }
-  // Help drain the queue while our shards are still pending. The popped
-  // task may belong to another concurrent submitter -- tasks are
-  // self-contained, so that only moves its work onto this thread instead
-  // of leaving this one blocked while the queue is non-empty.
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> done_lock(done_mu);
-      if (remaining == 0) break;
-    }
-    if (!RunOneTask()) break;
-  }
-  {
-    std::unique_lock<std::mutex> done_lock(done_mu);
-    done_cv.wait(done_lock, [&] { return remaining == 0; });
+  if (!SpinUntil(all_done)) {
+    std::unique_lock<std::mutex> lock(park_mu_);
+    parked_submitters_.fetch_add(1, std::memory_order_seq_cst);
+    done_cv_.wait(lock, all_done);
+    parked_submitters_.fetch_sub(1, std::memory_order_relaxed);
   }
   if (tracing) {
     const auto [mn, mx] = std::minmax_element(shard_ns.begin(), shard_ns.end());
@@ -203,8 +320,8 @@ Status ThreadPool::TryParallelForShard(
       imbalance->SetMax(static_cast<std::int64_t>((*mx - *mn) * 100 / *mx));
     }
   }
-  // All shards have completed; first_error needs no further locking.
-  return first_error_shard < shards ? first_error : Status::Ok();
+  // Every shard has reported done; the error slot needs no further locking.
+  return job.first_error_shard < shards ? job.first_error : Status::Ok();
 }
 
 }  // namespace lce

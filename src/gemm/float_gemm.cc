@@ -81,11 +81,47 @@ PackedFloatMatrix::PackedFloatMatrix(const float* rows, int n, int k)
   }
 }
 
+void FloatComputeBlock(const float* apanels, int rows,
+                       const PackedFloatMatrix& rhs, int nt_begin, int nt_end,
+                       KernelProfile profile, float* out, int ldc) {
+  const int k = rhs.k();
+  const int n = rhs.n();
+  const int m_tiles = (rows + kFloatMr - 1) / kFloatMr;
+  const std::int64_t a_tile_elems = static_cast<std::int64_t>(k) * kFloatMr;
+  // Loop order: B tiles outermost so a packed B panel (kFloatNr x K,
+  // L2-resident) is reused across every LHS tile of the block instead of
+  // being re-streamed per row tile -- for a 3136x64x576 GEMM this cuts B
+  // traffic by the number of m-tiles.
+  float acc[kFloatMr][kFloatNr];
+  for (int nt = nt_begin; nt < nt_end; ++nt) {
+    const int col0 = nt * kFloatNr;
+    const int cols = std::min(kFloatNr, n - col0);
+    for (int mt = 0; mt < m_tiles; ++mt) {
+      const int row0 = mt * kFloatMr;
+      const int tile_rows = std::min(kFloatMr, rows - row0);
+#ifdef LCE_FLOAT_GEMM_AVX2
+      if (profile == KernelProfile::kSimd) {
+        KernelAvx(apanels + mt * a_tile_elems, rhs.tile(nt), k, acc);
+      } else {
+        KernelScalar(apanels + mt * a_tile_elems, rhs.tile(nt), k, acc);
+      }
+#else
+      (void)profile;
+      KernelScalar(apanels + mt * a_tile_elems, rhs.tile(nt), k, acc);
+#endif
+      for (int i = 0; i < tile_rows; ++i) {
+        float* o = out + static_cast<std::int64_t>(row0 + i) * ldc + col0;
+        for (int j = 0; j < cols; ++j) o[j] = acc[i][j];
+      }
+    }
+  }
+}
+
 void FloatGemm(const float* lhs, int m, const PackedFloatMatrix& rhs,
                float* out, int ldc, Context& ctx) {
   const int k = rhs.k();
-  const int n = rhs.n();
   const int m_tiles = (m + kFloatMr - 1) / kFloatMr;
+  const int n_tiles = rhs.num_tiles();
   const std::int64_t a_tile_elems = static_cast<std::int64_t>(k) * kFloatMr;
 
   auto* apanels = reinterpret_cast<float*>(ctx.Scratch(
@@ -98,34 +134,21 @@ void FloatGemm(const float* lhs, int m, const PackedFloatMatrix& rhs,
   });
 
   const KernelProfile profile = ctx.profile();
-  // Loop order: B tiles outermost within each shard so a packed B panel
-  // (kFloatNr x K, L2-resident) is reused across every LHS tile of the
-  // shard instead of being re-streamed per row tile -- for a 3136x64x576
-  // GEMM this cuts B traffic by the number of m-tiles.
+  if (m_tiles < ctx.num_threads() && n_tiles > m_tiles) {
+    // Few rows (a batch-1 classifier is one row): shard the output columns
+    // instead, every shard computing all rows for its B tiles.
+    ctx.pool().ParallelFor(n_tiles, [&](std::int64_t begin, std::int64_t end) {
+      FloatComputeBlock(apanels, m, rhs, static_cast<int>(begin),
+                        static_cast<int>(end), profile, out, ldc);
+    });
+    return;
+  }
   ctx.pool().ParallelFor(m_tiles, [&](std::int64_t begin, std::int64_t end) {
-    float acc[kFloatMr][kFloatNr];
-    for (int nt = 0; nt < rhs.num_tiles(); ++nt) {
-      const int col0 = nt * kFloatNr;
-      const int cols = std::min(kFloatNr, n - col0);
-      for (std::int64_t mt = begin; mt < end; ++mt) {
-        const int row0 = static_cast<int>(mt) * kFloatMr;
-        const int rows = std::min(kFloatMr, m - row0);
-#ifdef LCE_FLOAT_GEMM_AVX2
-        if (profile == KernelProfile::kSimd) {
-          KernelAvx(apanels + mt * a_tile_elems, rhs.tile(nt), k, acc);
-        } else {
-          KernelScalar(apanels + mt * a_tile_elems, rhs.tile(nt), k, acc);
-        }
-#else
-        (void)profile;
-        KernelScalar(apanels + mt * a_tile_elems, rhs.tile(nt), k, acc);
-#endif
-        for (int i = 0; i < rows; ++i) {
-          float* o = out + static_cast<std::int64_t>(row0 + i) * ldc + col0;
-          for (int j = 0; j < cols; ++j) o[j] = acc[i][j];
-        }
-      }
-    }
+    const int row0 = static_cast<int>(begin) * kFloatMr;
+    FloatComputeBlock(apanels + begin * a_tile_elems,
+                      std::min(m, static_cast<int>(end) * kFloatMr) - row0, rhs,
+                      0, n_tiles, profile,
+                      out + static_cast<std::int64_t>(row0) * ldc, ldc);
   });
 }
 

@@ -42,8 +42,19 @@ class PackedFloatMatrix {
   AlignedBuffer buf_;
 };
 
+// Shards over row tiles, or over column (B) tiles when there are fewer row
+// tiles than threads. Scratch: context slot 0 (packed A-panels).
 void FloatGemm(const float* lhs, int m, const PackedFloatMatrix& rhs,
                float* out, int ldc, Context& ctx);
+
+// Single-threaded block compute over already-packed A tiles ([k][kFloatMr]
+// interleaved, k * kFloatMr floats apart, covering `rows` rows) against B
+// tiles [nt_begin, nt_end): writes out[r][c] with row stride ldc. FloatGemm
+// and the full-precision Conv2D's ConvPipeline TileCompute both run this
+// one function, so their outputs are bit-identical for the same A rows.
+void FloatComputeBlock(const float* apanels, int rows,
+                       const PackedFloatMatrix& rhs, int nt_begin, int nt_end,
+                       KernelProfile profile, float* out, int ldc);
 
 // Convenience overload packing the RHS internally.
 void FloatGemm(const float* lhs, int m, const float* rhs, int n, int k,

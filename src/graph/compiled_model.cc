@@ -657,7 +657,7 @@ void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
     }
     case OpType::kDepthwiseConv2D: {
       Tensor in = ValueTensor(n.inputs[0]);
-      kernels[n.id].dwconv->Run(in, out);
+      kernels[n.id].dwconv->Run(in, out, &ctx_.pool());
       break;
     }
     case OpType::kFullyConnected: {
@@ -711,7 +711,7 @@ void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
     }
     case OpType::kMaxPool2D: {
       Tensor in = ValueTensor(n.inputs[0]);
-      MaxPool2DFloat(in, n.attrs.pool, out);
+      MaxPool2DFloat(in, n.attrs.pool, out, &ctx_.pool());
       break;
     }
     case OpType::kAvgPool2D: {
@@ -727,7 +727,7 @@ void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
     case OpType::kAdd: {
       Tensor a = ValueTensor(n.inputs[0]);
       Tensor b = ValueTensor(n.inputs[1]);
-      AddFloat(a, b, n.attrs.activation, out);
+      AddFloat(a, b, n.attrs.activation, out, &ctx_.pool());
       break;
     }
     case OpType::kSoftmax: {
@@ -811,7 +811,7 @@ void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
     }
     case OpType::kLceQuantize: {
       Tensor in = ValueTensor(n.inputs[0]);
-      LceQuantize(in, out);
+      LceQuantize(in, out, &ctx_.pool());
       break;
     }
     case OpType::kLceDequantize: {

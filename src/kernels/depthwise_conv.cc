@@ -32,7 +32,8 @@ DepthwiseConv2DFloat::DepthwiseConv2DFloat(const DepthwiseConv2DFloat& base,
             g.padding == bg.padding);
 }
 
-void DepthwiseConv2DFloat::Run(const Tensor& input, Tensor& output) const {
+void DepthwiseConv2DFloat::Run(const Tensor& input, Tensor& output,
+                               ThreadPool* pool) const {
   const Conv2DGeometry& g = attrs_.geo;
   LCE_CHECK(input.dtype() == DataType::kFloat32);
   const int out_h = g.out_h(), out_w = g.out_w();
@@ -40,13 +41,15 @@ void DepthwiseConv2DFloat::Run(const Tensor& input, Tensor& output) const {
   const float* in = input.data<float>();
   float* out = output.data<float>();
   const float* bias = attrs_.bias.empty() ? nullptr : attrs_.bias.data();
+  const float* weights = weights_->data();
 
-  for (int b = 0; b < g.batch; ++b) {
-    for (int oy = 0; oy < out_h; ++oy) {
+  // Output rows [row_begin, row_end) of the flattened (batch, out_y) space.
+  const auto conv_rows = [&](std::int64_t row_begin, std::int64_t row_end) {
+    for (std::int64_t row = row_begin; row < row_end; ++row) {
+      const int b = static_cast<int>(row / out_h);
+      const int oy = static_cast<int>(row % out_h);
       for (int ox = 0; ox < out_w; ++ox) {
-        float* o =
-            out + ((static_cast<std::int64_t>(b) * out_h + oy) * out_w + ox) *
-                      g.in_c;
+        float* o = out + (row * out_w + ox) * g.in_c;
         for (int c = 0; c < g.in_c; ++c) o[c] = 0.0f;
         for (int ky = 0; ky < g.filter_h; ++ky) {
           const int iy = oy * g.stride_h - pad_h + ky;
@@ -59,8 +62,8 @@ void DepthwiseConv2DFloat::Run(const Tensor& input, Tensor& output) const {
                       ix) *
                          g.in_c;
             const float* w =
-                weights_->data() +
-                (static_cast<std::int64_t>(ky) * g.filter_w + kx) * g.in_c;
+                weights + (static_cast<std::int64_t>(ky) * g.filter_w + kx) *
+                              g.in_c;
             for (int c = 0; c < g.in_c; ++c) o[c] += src[c] * w[c];
           }
         }
@@ -71,6 +74,12 @@ void DepthwiseConv2DFloat::Run(const Tensor& input, Tensor& output) const {
         }
       }
     }
+  };
+  const std::int64_t rows = static_cast<std::int64_t>(g.batch) * out_h;
+  if (pool == nullptr) {
+    conv_rows(0, rows);
+  } else {
+    pool->ParallelFor(rows, conv_rows);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/tensor.h"
+#include "core/thread_pool.h"
 #include "kernels/conv_params.h"
 
 namespace lce {
@@ -30,7 +31,11 @@ class DepthwiseConv2DFloat {
   DepthwiseConv2DFloat(const DepthwiseConv2DFloat& base,
                        DepthwiseConv2DAttrs attrs);
 
-  void Run(const Tensor& input, Tensor& output) const;
+  // With a pool, the batch * out_h output rows are sharded across it; every
+  // output element is computed by one shard with the same arithmetic, so
+  // results are bit-identical at any thread count.
+  void Run(const Tensor& input, Tensor& output,
+           ThreadPool* pool = nullptr) const;
 
   const DepthwiseConv2DAttrs& attrs() const { return attrs_; }
 

@@ -6,20 +6,34 @@
 
 namespace lce {
 
-void AddFloat(const Tensor& a, const Tensor& b, Activation act, Tensor& out) {
+void AddFloat(const Tensor& a, const Tensor& b, Activation act, Tensor& out,
+              ThreadPool* pool) {
   LCE_CHECK(a.shape() == b.shape());
   LCE_CHECK(a.shape() == out.shape());
   const float* pa = a.data<float>();
   const float* pb = b.data<float>();
   float* po = out.data<float>();
-  const std::int64_t n = a.num_elements();
-  if (act == Activation::kNone) {
-    for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) {
-      po[i] = ApplyActivation(pa[i] + pb[i], act);
+  const auto add = [&](std::int64_t begin, std::int64_t end) {
+    if (act == Activation::kNone) {
+      for (std::int64_t i = begin; i < end; ++i) po[i] = pa[i] + pb[i];
+    } else {
+      for (std::int64_t i = begin; i < end; ++i) {
+        po[i] = ApplyActivation(pa[i] + pb[i], act);
+      }
     }
+  };
+  const std::int64_t n = a.num_elements();
+  if (pool == nullptr || n == 0) {
+    add(0, n);
+    return;
   }
+  // Shard whole pixels, so shard bounds follow the producing conv's row
+  // split and each worker mostly reads what it just wrote.
+  const Shape& shape = a.shape();
+  const std::int64_t c = shape.rank() > 0 ? shape.dim(shape.rank() - 1) : 1;
+  pool->ParallelFor(n / c, [&](std::int64_t begin, std::int64_t end) {
+    add(begin * c, end * c);
+  });
 }
 
 void ReluFloat(const Tensor& x, Tensor& out) {

@@ -7,12 +7,15 @@
 #include <vector>
 
 #include "core/tensor.h"
+#include "core/thread_pool.h"
 #include "kernels/conv_params.h"
 
 namespace lce {
 
-// out = act(a + b), element-wise, same shapes.
-void AddFloat(const Tensor& a, const Tensor& b, Activation act, Tensor& out);
+// out = act(a + b), element-wise, same shapes. With a pool, the pixels
+// (elements / innermost dim) are sharded across it.
+void AddFloat(const Tensor& a, const Tensor& b, Activation act, Tensor& out,
+              ThreadPool* pool = nullptr);
 
 // out = act(x), element-wise.
 void ReluFloat(const Tensor& x, Tensor& out);

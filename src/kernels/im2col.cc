@@ -40,20 +40,6 @@ void ForEachPatchElement(const Conv2DGeometry& g, CopyFn copy_px,
 
 }  // namespace
 
-void Im2ColFloat(const float* input, const Conv2DGeometry& g, float pad_value,
-                 float* output) {
-  const int c = g.in_c;
-  ForEachPatchElement(
-      g,
-      [&](std::int64_t src, std::int64_t dst) {
-        std::memcpy(output + dst * c, input + src * c, c * sizeof(float));
-      },
-      [&](std::int64_t dst) {
-        float* o = output + dst * c;
-        for (int i = 0; i < c; ++i) o[i] = pad_value;
-      });
-}
-
 void Im2ColInt8(const std::int8_t* input, const Conv2DGeometry& g,
                 std::int8_t pad_value, std::int8_t* output) {
   const int c = g.in_c;

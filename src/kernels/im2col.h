@@ -1,5 +1,7 @@
 // im2col: rearranges convolution input patches into GEMM LHS rows (paper
-// section 3.2, stage one of LceBConv2d and of the float/int8 convolutions).
+// section 3.2, stage one of the legacy LceBConv2d and int8 convolution
+// paths; the float im2col lives with the float-conv oracle in
+// kernels/reference.h).
 //
 // Patch layout per output position: [filter_h][filter_w][channels], matching
 // OHWI weights flattened per output channel.
@@ -17,11 +19,6 @@
 #include "kernels/conv_params.h"
 
 namespace lce {
-
-// Float: padded locations filled with `pad_value` (0 for SAME_ZERO, 1 for
-// SAME_ONE). Output: [batch*out_h*out_w][filter_h*filter_w*in_c].
-void Im2ColFloat(const float* input, const Conv2DGeometry& geo,
-                 float pad_value, float* output);
 
 // Int8: padded locations filled with `pad_value` (the input zero point, so
 // padding contributes zero after offset subtraction).

@@ -55,8 +55,9 @@ VariantMetrics LookupMetrics(const char* variant) {
 
 }  // namespace
 
-void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
-                     ConvStageTimes* times) {
+template <typename Acc>
+void RunConvPipeline(const BasicConvPipelineArgs<Acc>& args,
+                     gemm::Context& ctx, ConvStageTimes* times) {
   LCE_CHECK(args.plan != nullptr);
   LCE_CHECK(args.compute != nullptr);
   LCE_CHECK(args.transform != nullptr);
@@ -88,7 +89,7 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
       align64(args.compute->ShardScratchBytes(block_tiles_max));
   const std::size_t acc_bytes =
       align64(static_cast<std::size_t>(block_tiles_max) * tile_rows * n *
-              sizeof(std::int32_t));
+              sizeof(Acc));
   const std::size_t per_shard = compute_bytes + acc_bytes;
   std::uint8_t* scratch =
       ctx.Scratch(2, static_cast<std::size_t>(shards) * per_shard);
@@ -96,9 +97,9 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
   const bool tracing = telemetry::TracingActive();
   const bool timed = tracing || times != nullptr;
   const gemm::KernelProfile profile = ctx.profile();
-  const TileCompute* compute = args.compute;
-  const RowCorrector* corrector = args.corrector;
-  const OutputTransform* transform = args.transform;
+  const BasicTileCompute<Acc>* compute = args.compute;
+  const BasicRowCorrector<Acc>* corrector = args.corrector;
+  const BasicOutputTransform<Acc>* transform = args.transform;
   void* out = args.out;
   // Cooperative cancellation (docs/SERVING.md): each shard polls the
   // current request's token between row-tile blocks and abandons its
@@ -122,7 +123,7 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
       m_tiles, [&](int shard, std::int64_t tbegin, std::int64_t tend) {
         std::uint8_t* base = scratch + static_cast<std::size_t>(shard) * per_shard;
         std::uint8_t* compute_scratch = base;
-        auto* block_acc = reinterpret_cast<std::int32_t*>(base + compute_bytes);
+        auto* block_acc = reinterpret_cast<Acc*>(base + compute_bytes);
         std::uint64_t gemm_ns = 0, transform_ns = 0;
         for (std::int64_t t = tbegin; t < tend; t += block_tiles_max) {
           if (cancel != nullptr && cancel->Expired()) {
@@ -201,5 +202,11 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
     times->transform = static_cast<double>(wall - gemm_wall) * 1e-9;
   }
 }
+
+template void RunConvPipeline<std::int32_t>(
+    const BasicConvPipelineArgs<std::int32_t>&, gemm::Context&,
+    ConvStageTimes*);
+template void RunConvPipeline<float>(const BasicConvPipelineArgs<float>&,
+                                     gemm::Context&, ConvStageTimes*);
 
 }  // namespace lce::pipeline

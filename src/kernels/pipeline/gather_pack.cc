@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "gemm/bgemm.h"
+#include "gemm/float_gemm.h"
 #include "gemm/int8_gemm.h"
 
 namespace lce::pipeline {
@@ -115,6 +116,50 @@ void GatherPackWords(const TBitpacked* input,
   }
 }
 
+template <bool kInterior>
+void GatherPackFloatRows(const float* input, const Conv2DGeometry& g,
+                         const float* pad_row, const float* zero_row,
+                         std::int64_t row0, float* dst) {
+  constexpr int kRows = gemm::kFloatMr;
+  const int out_h = g.out_h(), out_w = g.out_w(), in_c = g.in_c;
+  const std::int64_t rows = static_cast<std::int64_t>(g.batch) * out_h * out_w;
+  // Per row: the image base and the receptive field's top-left corner.
+  const float* image[kRows] = {};
+  int iy0[kRows] = {}, ix0[kRows] = {};
+  for (int r = 0; r < kRows; ++r) {
+    const std::int64_t pos = row0 + r;
+    if (pos >= rows) continue;
+    const std::int64_t b = pos / (static_cast<std::int64_t>(out_h) * out_w);
+    const int rem = static_cast<int>(pos - b * out_h * out_w);
+    image[r] = input + b * g.in_h * g.in_w * in_c;
+    iy0[r] = rem / out_w * g.stride_h - g.pad_h_begin();
+    ix0[r] = rem % out_w * g.stride_w - g.pad_w_begin();
+  }
+  // Destination-major: all kRows rows of one (tap, channel) K index are
+  // written together, so the panel is filled sequentially.
+  float* d = dst;
+  for (int ky = 0; ky < g.filter_h; ++ky) {
+    for (int kx = 0; kx < g.filter_w; ++kx) {
+      const float* src[kRows];
+      for (int r = 0; r < kRows; ++r) {
+        const int iy = iy0[r] + ky, ix = ix0[r] + kx;
+        if (image[r] == nullptr) {
+          src[r] = zero_row;
+        } else if (!kInterior &&
+                   (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w)) {
+          src[r] = pad_row;
+        } else {
+          src[r] = image[r] + (static_cast<std::int64_t>(iy) * g.in_w + ix) *
+                                  in_c;
+        }
+      }
+      for (int c = 0; c < in_c; ++c, d += kRows) {
+        for (int r = 0; r < kRows; ++r) d[r] = src[r][c];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void GatherPackBitpacked(const TBitpacked* input,
@@ -210,6 +255,16 @@ void GatherStageInt8Dot(const std::int8_t* input,
       }
     }
     if (k < lda) std::memset(drow + k, 0, static_cast<std::size_t>(lda - k));
+  }
+}
+
+void GatherPackFloat(const float* input, const Conv2DGeometry& geo,
+                     const float* pad_row, const float* zero_row,
+                     std::int64_t row0, bool interior, float* dst) {
+  if (interior) {
+    GatherPackFloatRows<true>(input, geo, pad_row, zero_row, row0, dst);
+  } else {
+    GatherPackFloatRows<false>(input, geo, pad_row, zero_row, row0, dst);
   }
 }
 

@@ -3,7 +3,7 @@
 // prepare-time int32 indirection cache (gemm/indirect_bgemm.h), without
 // materializing im2col patches.
 //
-// Three strategies, one per consumer family:
+// Four strategies, one per consumer family:
 //   * GatherPackBitpacked       — word gather into BGEMM A-panels (BConv2D).
 //   * GatherPackBitpackedGroup  — per-group sliced view of the same input:
 //     gathers `word_count` words starting at word slice `word_begin` of each
@@ -12,10 +12,12 @@
 //   * GatherPackInt8            — byte gather into int8-GEMM A-panels with
 //     the maddubs +128 bias applied during packing (Conv2DInt8); padded
 //     taps read the input zero point, exactly like the legacy im2col.
+//   * GatherPackFloat           — float gather into float-GEMM A-panels
+//     (full-precision Conv2D); padded taps read the padding value.
 //
-// All three take an `interior` flag from the shared TilePlan: interior
+// All four take an `interior` flag from the shared TilePlan: interior
 // tiles have no padded taps, so the gather skips the kPaddedTap sentinel
-// check entirely.
+// check (or, for the float gather, the bounds check) entirely.
 #ifndef LCE_KERNELS_PIPELINE_GATHER_PACK_H_
 #define LCE_KERNELS_PIPELINE_GATHER_PACK_H_
 
@@ -23,6 +25,7 @@
 
 #include "core/types.h"
 #include "gemm/indirect_bgemm.h"
+#include "kernels/conv_params.h"
 
 namespace lce::pipeline {
 
@@ -74,6 +77,20 @@ void GatherStageInt8Dot(const std::int8_t* input,
                         std::int8_t pad_value, std::int64_t row0,
                         int tile_rows, int lda, bool interior,
                         std::int8_t* dst);
+
+// Float gather for the full-precision Conv2D: packs the gemm::kFloatMr
+// patch rows starting at output position `row0` into one A-panel of the
+// float GEMM ([taps*in_c][kFloatMr] interleaved; gemm/float_gemm.h), K
+// ordered [tap][channel] exactly like float im2col. Source pixels are
+// computed from `geo` directly: float layers are few and their
+// (resolution, batch) variants many, so a per-variant tap table would cost
+// more to build and hold than the address arithmetic it saves. Padded taps
+// read `pad_row` (in_c copies of the padding value: 0 for SAME_ZERO, +1
+// for SAME_ONE) and rows beyond the output read `zero_row` (in_c zeros).
+// With `interior` set the bounds checks are skipped.
+void GatherPackFloat(const float* input, const Conv2DGeometry& geo,
+                     const float* pad_row, const float* zero_row,
+                     std::int64_t row0, bool interior, float* dst);
 
 // Software-prefetches the gather sources of rows [row0, row0+tile_rows):
 // one prefetch per 64-byte line of each tap's channel vector. The int8

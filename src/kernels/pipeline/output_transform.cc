@@ -221,4 +221,47 @@ void Int8RequantTransform::Apply(const std::int32_t* acc, std::int64_t row0,
   }
 }
 
+BiasActivationTransform::BiasActivationTransform(int out_c,
+                                                 Activation activation,
+                                                 std::vector<float> bias)
+    : out_c_(out_c), act_(activation), bias_(std::move(bias)) {
+  if (!bias_.empty()) LCE_CHECK_EQ(static_cast<int>(bias_.size()), out_c);
+}
+
+void BiasActivationTransform::Apply(const float* acc, std::int64_t row0,
+                                    std::int64_t nrows, void* out_void) const {
+  const int out_c = out_c_;
+  float* out = static_cast<float*>(out_void) + row0 * out_c;
+  const std::int64_t total = nrows * out_c;
+  if (bias_.empty()) {
+    for (std::int64_t i = 0; i < total; ++i) {
+      out[i] = ApplyActivation(acc[i], act_);
+    }
+    return;
+  }
+  const float* bias = bias_.data();
+  // ReLU and identity get branch-free loops the compiler vectorizes; both
+  // compute exactly ApplyActivation(acc + bias).
+  for (std::int64_t r = 0; r < nrows; ++r) {
+    const float* a = acc + r * out_c;
+    float* o = out + r * out_c;
+    switch (act_) {
+      case Activation::kNone:
+        for (int n = 0; n < out_c; ++n) o[n] = a[n] + bias[n];
+        break;
+      case Activation::kRelu:
+        for (int n = 0; n < out_c; ++n) {
+          const float v = a[n] + bias[n];
+          o[n] = v > 0.0f ? v : 0.0f;
+        }
+        break;
+      default:
+        for (int n = 0; n < out_c; ++n) {
+          o[n] = ApplyActivation(a[n] + bias[n], act_);
+        }
+        break;
+    }
+  }
+}
+
 }  // namespace lce::pipeline

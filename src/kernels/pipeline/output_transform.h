@@ -10,6 +10,8 @@
 //   * Int32OutputTransform      — raw accumulator copy (tests/debugging).
 //   * Int8RequantTransform      — TFLite-style requantization
 //     out = clamp(z_out + M * (acc - z_in * rowsum(w) + bias)).
+//   * BiasActivationTransform   — float accumulator + bias, fused
+//     activation (full-precision Conv2D).
 //
 // The transforms are shared between the fused pipeline (per row-tile block)
 // and the legacy force_unfused paths (once over the full image), so both
@@ -25,16 +27,20 @@
 
 namespace lce::pipeline {
 
-class OutputTransform {
+// `Acc` is the accumulator element type the transform consumes (see
+// BasicTileCompute in conv_pipeline.h).
+template <typename Acc>
+class BasicOutputTransform {
  public:
-  virtual ~OutputTransform() = default;
+  virtual ~BasicOutputTransform() = default;
 
   // Transforms `nrows` accumulator rows (stride out_c) holding flattened
   // output positions [row0, row0 + nrows), writing into `out` (the start of
   // the full output buffer; the transform applies the row0 offset itself).
-  virtual void Apply(const std::int32_t* acc, std::int64_t row0,
-                     std::int64_t nrows, void* out) const = 0;
+  virtual void Apply(const Acc* acc, std::int64_t row0, std::int64_t nrows,
+                     void* out) const = 0;
 };
+using OutputTransform = BasicOutputTransform<std::int32_t>;
 
 // v = mult[c] * pre_act(acc) + bias[c]; mult/bias empty means 1 / 0.
 class FloatOutputTransform : public OutputTransform {
@@ -105,6 +111,22 @@ class Int8RequantTransform : public OutputTransform {
   std::vector<int> shift_;
   bool per_channel_;
   std::int32_t act_min_, act_max_;
+};
+
+// Float accumulators (full-precision Conv2D): out = act(acc + bias[c]);
+// bias empty means no add at all (so -0.0 stays -0.0, exactly like the
+// im2col + GEMM oracle in kernels/reference.h).
+class BiasActivationTransform : public BasicOutputTransform<float> {
+ public:
+  BiasActivationTransform(int out_c, Activation activation,
+                          std::vector<float> bias);
+  void Apply(const float* acc, std::int64_t row0, std::int64_t nrows,
+             void* out) const override;
+
+ private:
+  int out_c_;
+  Activation act_;
+  std::vector<float> bias_;
 };
 
 }  // namespace lce::pipeline

@@ -6,18 +6,19 @@
 
 namespace lce {
 void MaxPool2DFloat(const Tensor& input, const Pool2DGeometry& g,
-                    Tensor& output) {
+                    Tensor& output, ThreadPool* pool) {
   LCE_CHECK(input.dtype() == DataType::kFloat32);
   const int out_h = g.out_h(), out_w = g.out_w();
   const int pad_h = g.pad_h_begin(), pad_w = g.pad_w_begin();
   const float* in = input.data<float>();
   float* out = output.data<float>();
-  for (int b = 0; b < g.batch; ++b) {
-    for (int oy = 0; oy < out_h; ++oy) {
+  // Output rows [row_begin, row_end) of the flattened (batch, out_y) space.
+  const auto pool_rows = [&](std::int64_t row_begin, std::int64_t row_end) {
+    for (std::int64_t row = row_begin; row < row_end; ++row) {
+      const int b = static_cast<int>(row / out_h);
+      const int oy = static_cast<int>(row % out_h);
       for (int ox = 0; ox < out_w; ++ox) {
-        float* o =
-            out + ((static_cast<std::int64_t>(b) * out_h + oy) * out_w + ox) *
-                      g.channels;
+        float* o = out + (row * out_w + ox) * g.channels;
         for (int c = 0; c < g.channels; ++c) {
           o[c] = -std::numeric_limits<float>::infinity();
         }
@@ -38,6 +39,12 @@ void MaxPool2DFloat(const Tensor& input, const Pool2DGeometry& g,
         }
       }
     }
+  };
+  const std::int64_t rows = static_cast<std::int64_t>(g.batch) * out_h;
+  if (pool == nullptr) {
+    pool_rows(0, rows);
+  } else {
+    pool->ParallelFor(rows, pool_rows);
   }
 }
 

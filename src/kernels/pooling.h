@@ -4,13 +4,16 @@
 #define LCE_KERNELS_POOLING_H_
 
 #include "core/tensor.h"
+#include "core/thread_pool.h"
 #include "kernels/conv_params.h"
 
 namespace lce {
 
-// Float max pooling, NHWC. Padded positions are ignored.
+// Float max pooling, NHWC. Padded positions are ignored. With a pool, the
+// batch * out_h output rows are sharded across it (each output element is
+// computed by exactly one shard, so results do not depend on the split).
 void MaxPool2DFloat(const Tensor& input, const Pool2DGeometry& geo,
-                    Tensor& output);
+                    Tensor& output, ThreadPool* pool = nullptr);
 
 // Float average pooling, NHWC. The divisor counts only valid positions.
 void AvgPool2DFloat(const Tensor& input, const Pool2DGeometry& geo,

@@ -7,11 +7,14 @@
 #define LCE_KERNELS_QUANTIZE_OPS_H_
 
 #include "core/tensor.h"
+#include "core/thread_pool.h"
 
 namespace lce {
 
 // input: float NHWC -> output: bitpacked NHWC (same logical shape).
-void LceQuantize(const Tensor& input, Tensor& output);
+// With a pool, the pixels (elements / innermost dim) are sharded across it.
+void LceQuantize(const Tensor& input, Tensor& output,
+                 ThreadPool* pool = nullptr);
 
 // input: bitpacked NHWC -> output: +/-1.0 float NHWC.
 void LceDequantize(const Tensor& input, Tensor& output);

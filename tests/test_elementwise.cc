@@ -1,14 +1,59 @@
-// Element-wise operator tests: Add, ReLU, BatchNorm folding, Softmax.
+// Element-wise operator tests: Add, ReLU, BatchNorm folding, Softmax, and
+// the row-parallel Add / LceQuantize against their serial form.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "core/bitpack.h"
 #include "core/random.h"
+#include "core/thread_pool.h"
 #include "kernels/elementwise.h"
+#include "kernels/quantize_ops.h"
 
 namespace lce {
 namespace {
+
+TEST(AddFloat, RowParallelMatchesSerial) {
+  ThreadPool pool(4);
+  // 3 pixels (fewer than the threads) and 7x5 pixels of 37 channels.
+  for (const Shape& shape : {Shape{1, 1, 3, 5}, Shape{1, 7, 5, 37}}) {
+    Rng rng(shape.dim(3));
+    Tensor a(DataType::kFloat32, shape);
+    Tensor b(DataType::kFloat32, shape);
+    FillUniform(a, rng);
+    FillUniform(b, rng);
+    for (Activation act : {Activation::kNone, Activation::kRelu}) {
+      Tensor serial(DataType::kFloat32, shape);
+      Tensor parallel(DataType::kFloat32, shape);
+      AddFloat(a, b, act, serial);
+      AddFloat(a, b, act, parallel, &pool);
+      EXPECT_EQ(std::memcmp(serial.raw_data(), parallel.raw_data(),
+                            serial.num_elements() * sizeof(float)),
+                0);
+    }
+  }
+}
+
+TEST(LceQuantize, RowParallelMatchesSerial) {
+  ThreadPool pool(4);
+  // Channel counts with and without a partial last word.
+  for (const Shape& shape : {Shape{1, 1, 2, 40}, Shape{1, 9, 7, 64}}) {
+    Rng rng(shape.dim(3));
+    Tensor x(DataType::kFloat32, shape);
+    FillUniform(x, rng);
+    Tensor serial(DataType::kBitpacked, shape);
+    Tensor parallel(DataType::kBitpacked, shape);
+    LceQuantize(x, serial);
+    LceQuantize(x, parallel, &pool);
+    const std::int64_t words =
+        shape.dim(0) * shape.dim(1) * shape.dim(2) * BitpackedWords(shape.dim(3));
+    EXPECT_EQ(std::memcmp(serial.raw_data(), parallel.raw_data(),
+                          words * sizeof(TBitpacked)),
+              0);
+  }
+}
 
 TEST(AddFloat, ElementwiseSumWithActivation) {
   Rng rng(1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -93,6 +94,29 @@ TEST(FloatGemm, MultithreadedMatches) {
   FloatGemm(lhs.data(), m, rhs.data(), n, k, out.data(), n, ctx);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_NEAR(out[i], expected[i], 1e-4f);
+  }
+}
+
+TEST(FloatGemm, FewRowsShardOverColumnsBitIdentical) {
+  // Fewer row tiles than threads (a batch-1 classifier is one row) shards
+  // over B tiles instead; the result must not depend on the split.
+  for (const int m : {1, 5}) {
+    const int n = 1000, k = 96;
+    Rng rng(m);
+    std::vector<float> lhs(static_cast<std::size_t>(m) * k);
+    std::vector<float> rhs(static_cast<std::size_t>(n) * k);
+    for (auto& v : lhs) v = rng.Uniform();
+    for (auto& v : rhs) v = rng.Uniform();
+    const PackedFloatMatrix packed(rhs.data(), n, k);
+    std::vector<float> one(static_cast<std::size_t>(m) * n);
+    std::vector<float> four(one.size());
+    Context ctx1(1);
+    FloatGemm(lhs.data(), m, packed, one.data(), n, ctx1);
+    Context ctx4(4);
+    FloatGemm(lhs.data(), m, packed, four.data(), n, ctx4);
+    EXPECT_EQ(std::memcmp(one.data(), four.data(), one.size() * sizeof(float)),
+              0)
+        << "m=" << m;
   }
 }
 

@@ -7,6 +7,7 @@
 #include "core/bitpack.h"
 #include "core/random.h"
 #include "kernels/im2col.h"
+#include "kernels/reference.h"
 
 namespace lce {
 namespace {

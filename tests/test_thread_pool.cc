@@ -1,11 +1,14 @@
 // ThreadPool tests: full index coverage, inline single-thread execution,
-// concurrent-safety of sharded writes, the balanced shard split, and
-// concurrent submitters sharing one pool (the serving configuration).
+// concurrent-safety of sharded writes, the balanced shard split,
+// concurrent submitters sharing one pool (the serving configuration), and
+// the spin-then-park dispatch under back-to-back calls and teardown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -171,6 +174,107 @@ TEST(ThreadPool, TryParallelForShardReportsLowestFailingShard) {
     EXPECT_EQ(completed.load(), 8)
         << "every shard must run to completion even after a sibling failed";
   }
+}
+
+// Back-to-back tiny calls: every call must see each of its indices
+// exactly once, whether workers are spinning, parked or busy with another
+// submitter's shards.
+void BackToBackTinyCalls(ThreadPool& pool, int submitters) {
+  constexpr int kCalls = 10000;
+  constexpr std::int64_t kCount = 7;  // uneven shard loads
+  std::atomic<int> bad_calls{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < submitters; ++t) {
+    threads.emplace_back([&] {
+      for (int call = 0; call < kCalls; ++call) {
+        std::atomic<int> hits[kCount] = {};
+        pool.ParallelFor(kCount, [&](std::int64_t begin, std::int64_t end) {
+          for (std::int64_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        });
+        for (const auto& h : hits) {
+          if (h.load() != 1) {
+            bad_calls.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad_calls.load(), 0);
+}
+
+TEST(ThreadPool, BackToBackTinyCallsOneSubmitter) {
+  ThreadPool pool(4);
+  BackToBackTinyCalls(pool, 1);
+}
+
+TEST(ThreadPool, BackToBackTinyCallsFourSubmitters) {
+  ThreadPool pool(4);
+  BackToBackTinyCalls(pool, 4);
+}
+
+TEST(ThreadPool, DestroyWhileWorkersSpin) {
+  // Right after a call the workers are in their spin phase (and right after
+  // construction they spin on an empty list): teardown must still join
+  // them promptly, and repeatedly.
+  for (int round = 0; round < 100; ++round) {
+    ThreadPool pool(4);
+    if (round % 2 == 0) {
+      std::atomic<int> hits{0};
+      pool.ParallelFor(4, [&](std::int64_t begin, std::int64_t end) {
+        hits.fetch_add(static_cast<int>(end - begin));
+      });
+      ASSERT_EQ(hits.load(), 4);
+    }
+  }
+}
+
+TEST(ThreadPool, CallAfterWorkersParkedStillRuns) {
+  // Workers park after their bounded spin; a later call must wake them.
+  ThreadPool pool(4);
+  pool.ParallelFor(4, [](std::int64_t, std::int64_t) {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::atomic<int> hits{0};
+  pool.ParallelFor(1000, [&](std::int64_t begin, std::int64_t end) {
+    hits.fetch_add(static_cast<int>(end - begin));
+  });
+  EXPECT_EQ(hits.load(), 1000);
+}
+
+TEST(ThreadPool, LowestFailingShardWinsUnderConcurrentSubmitters) {
+  // Higher shards fail first (shard s sleeps less the higher s is), and
+  // four submitters share the pool: each call must still report its own
+  // lowest failing shard, after all of its shards ran.
+  auto pool = std::make_shared<ThreadPool>(4);
+  std::vector<std::thread> submitters;
+  std::atomic<int> wrong{0};
+  for (int t = 0; t < 4; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        std::atomic<int> completed{0};
+        const int first_bad = 1 + (t + round) % 3;
+        const Status s = pool->TryParallelForShard(
+            4, [&](int shard, std::int64_t, std::int64_t) -> Status {
+              std::this_thread::sleep_for(
+                  std::chrono::microseconds(50 * (4 - shard)));
+              completed.fetch_add(1);
+              if (shard >= first_bad) {
+                return Status::Internal("submitter " + std::to_string(t) +
+                                        " shard " + std::to_string(shard));
+              }
+              return Status::Ok();
+            });
+        const std::string want = "submitter " + std::to_string(t) +
+                                 " shard " + std::to_string(first_bad);
+        if (s.ok() || s.message() != want || completed.load() != 4) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : submitters) th.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(ThreadPool, TryParallelForAllOkAndInlineShard) {
