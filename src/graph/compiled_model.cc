@@ -1,30 +1,18 @@
 #include "graph/compiled_model.h"
 
 #include <algorithm>
-#include <cstring>
 #include <new>
 
-#include "core/bitpack.h"
 #include "core/macros.h"
 #include "graph/memory_planner.h"
 #include "graph/shape_variant.h"
 #include "graph/validator.h"
-#include "kernels/bmaxpool.h"
-#include "kernels/elementwise.h"
-#include "kernels/pooling.h"
-#include "kernels/quantize_ops.h"
 #include "serving/fault_injection.h"
 #include "telemetry/metrics.h"
 #include "telemetry/tracer.h"
 
 namespace lce {
 namespace {
-
-bool IsBinaryOp(OpType t) {
-  return t == OpType::kLceQuantize || t == OpType::kLceDequantize ||
-         t == OpType::kLceBConv2d || t == OpType::kLceBMaxPool2d ||
-         t == OpType::kLceBFullyConnected;
-}
 
 // Bytes of packed binary weights currently resident across all live
 // CompiledModels. Unlike the per-model high-water gauges this accumulates,
@@ -361,177 +349,33 @@ Status CompiledModel::Build(CompileOptions options,
       ->SetMax(static_cast<std::int64_t>(total_bytes));
   }  // prepare/plan
 
-  // Prepare kernels. On a variant build (weight_source != null) the
-  // weight-bearing kernels are constructed as siblings of the mapped source
-  // kernel: the expensive shape-invariant state (packed/bitpacked weights,
-  // correction tables, output transforms) is shared by reference and only
-  // the geometry-dependent state (indirection tables, tile plans) is
-  // rebuilt for the variant's batch and resolution. Batch-agnostic kernels
-  // (the fully connected pair, which read the batch from their input
-  // tensor at Run) are aliased outright.
+  // Prepare kernels. On a variant build (weight_source != null) each
+  // node's prepare hook receives the mapped source node's state: the
+  // expensive shape-invariant state (packed/bitpacked weights, correction
+  // tables, output transforms) is shared by reference and only the
+  // geometry-dependent state (indirection tables, tile plans) is rebuilt
+  // for the variant's batch and resolution. Batch-agnostic kernels (the
+  // fully connected pair, which read the batch from their input tensor at
+  // Run) are aliased outright.
   LCE_TRACE_SCOPE_CAT("prepare/pack", "interpreter");
   std::size_t packed_weight_bytes = 0;
   kernels_.clear();
   kernels_.resize(graph_.nodes().size());
   for (int id : order_) {
     const Node& n = graph_.node(id);
-    PreparedKernels& k = kernels_[id];
-    const PreparedKernels* src = nullptr;
+    const OpDef& def = GetOpDef(n.type);
+    if (def.prepare == nullptr) continue;  // stateless op
+    PreparedState root_state;
     if (weight_source != nullptr) {
       LCE_CHECK(node_map != nullptr &&
                 id < static_cast<int>(node_map->size()));
       const int src_id = (*node_map)[id];
       LCE_CHECK(src_id >= 0 &&
                 src_id < static_cast<int>(weight_source->kernels_.size()));
-      src = &weight_source->kernels_[src_id];
+      root_state = weight_source->kernels_[src_id];
+      LCE_CHECK(root_state != nullptr);
     }
-    switch (n.type) {
-      case OpType::kConv2D: {
-        Conv2DFloatAttrs attrs;
-        attrs.geo = n.attrs.conv;
-        attrs.activation = n.attrs.activation;
-        attrs.bias = n.attrs.bias;
-        if (src != nullptr) {
-          k.conv = std::make_shared<Conv2DFloat>(*src->conv, std::move(attrs));
-          break;
-        }
-        const Value& w = graph_.value(n.inputs[1]);
-        LCE_DCHECK(w.is_constant);
-        if (n.attrs.binarize_weights) {
-          // Training dialect: the emulated binarized conv applies sign() to
-          // its latent float weights at execution time.
-          std::vector<float> signed_w(w.constant_data.num_elements());
-          const float* wsrc = w.constant_data.data<float>();
-          for (std::size_t i = 0; i < signed_w.size(); ++i) {
-            signed_w[i] = SignValue(wsrc[i]);
-          }
-          k.conv = std::make_shared<Conv2DFloat>(signed_w.data(), attrs);
-        } else {
-          k.conv = std::make_shared<Conv2DFloat>(w.constant_data.data<float>(),
-                                                 attrs);
-        }
-        break;
-      }
-      case OpType::kDepthwiseConv2D: {
-        DepthwiseConv2DAttrs attrs;
-        attrs.geo = n.attrs.conv;
-        attrs.activation = n.attrs.activation;
-        attrs.bias = n.attrs.bias;
-        if (src != nullptr) {
-          k.dwconv = std::make_shared<DepthwiseConv2DFloat>(*src->dwconv,
-                                                            std::move(attrs));
-          break;
-        }
-        const Value& w = graph_.value(n.inputs[1]);
-        LCE_DCHECK(w.is_constant);
-        k.dwconv = std::make_shared<DepthwiseConv2DFloat>(
-            w.constant_data.data<float>(), attrs);
-        break;
-      }
-      case OpType::kFullyConnected: {
-        if (src != nullptr) {
-          // Batch-agnostic (batch comes from the input tensor at Run):
-          // the variant aliases the root kernel outright.
-          k.fc = src->fc;
-          break;
-        }
-        const Value& w = graph_.value(n.inputs[1]);
-        LCE_DCHECK(w.is_constant);
-        FullyConnectedAttrs attrs;
-        attrs.in_features = n.attrs.fc_in_features;
-        attrs.out_features = n.attrs.fc_out_features;
-        attrs.activation = n.attrs.activation;
-        attrs.bias = n.attrs.bias;
-        if (n.attrs.binarize_weights) {
-          // Training dialect: emulated binarized FC with sign()ed weights.
-          std::vector<float> signed_w(w.constant_data.num_elements());
-          const float* wsrc = w.constant_data.data<float>();
-          for (std::size_t i = 0; i < signed_w.size(); ++i) {
-            signed_w[i] = SignValue(wsrc[i]);
-          }
-          k.fc = std::make_shared<FullyConnectedFloat>(signed_w.data(), attrs);
-        } else {
-          k.fc = std::make_shared<FullyConnectedFloat>(
-              w.constant_data.data<float>(), attrs);
-        }
-        break;
-      }
-      case OpType::kLceBFullyConnected: {
-        if (src != nullptr) {
-          k.bfc = src->bfc;  // batch-agnostic, aliased outright
-          break;
-        }
-        const Value& w = graph_.value(n.inputs[1]);
-        LCE_DCHECK(w.is_constant);
-        BFullyConnectedAttrs attrs;
-        attrs.in_features = n.attrs.fc_in_features;
-        attrs.out_features = n.attrs.fc_out_features;
-        attrs.pre_activation = n.attrs.pre_activation;
-        attrs.multiplier = n.attrs.multiplier;
-        attrs.bias = n.attrs.bias;
-        if (w.dtype == DataType::kBitpacked) {
-          k.bfc = std::make_shared<BFullyConnected>(
-              w.constant_data.data<TBitpacked>(), attrs);
-        } else {
-          k.bfc = std::make_shared<BFullyConnected>(
-              w.constant_data.data<float>(), attrs);
-        }
-        packed_weight_bytes += k.bfc->packed_weights_bytes();
-        break;
-      }
-      case OpType::kConv2DInt8: {
-        Conv2DInt8Attrs attrs;
-        attrs.geo = n.attrs.conv;
-        attrs.activation = n.attrs.activation;
-        attrs.input_quant = n.attrs.input_quant;
-        attrs.weight_quant = n.attrs.weight_quant;
-        attrs.output_quant = n.attrs.output_quant;
-        attrs.bias = n.attrs.bias_int32;
-        attrs.weight_scales = n.attrs.weight_scales;
-        if (src != nullptr) {
-          k.conv_int8 =
-              std::make_shared<Conv2DInt8>(*src->conv_int8, std::move(attrs));
-          break;
-        }
-        const Value& w = graph_.value(n.inputs[1]);
-        LCE_DCHECK(w.is_constant);
-        k.conv_int8 = std::make_shared<Conv2DInt8>(
-            w.constant_data.data<std::int8_t>(), attrs);
-        break;
-      }
-      case OpType::kLceBConv2d: {
-        BConv2DAttrs attrs;
-        attrs.geo = n.attrs.conv;
-        attrs.output_type = n.attrs.bconv_output;
-        attrs.pre_activation = n.attrs.pre_activation;
-        attrs.multiplier = n.attrs.multiplier;
-        attrs.bias = n.attrs.bias;
-        // Kernel selection (docs/PERFORMANCE.md): non-pointwise
-        // convolutions gather through the prepare-time indirection table
-        // instead of materializing im2col patches per Invoke; pointwise
-        // convolutions feed the input to the BGEMM directly either way.
-        attrs.use_indirect_bgemm =
-            attrs.geo.filter_h > 1 || attrs.geo.filter_w > 1 ||
-            attrs.geo.stride_h > 1 || attrs.geo.stride_w > 1;
-        if (src != nullptr) {
-          k.bconv = std::make_shared<BConv2D>(*src->bconv, std::move(attrs));
-          break;
-        }
-        const Value& w = graph_.value(n.inputs[1]);
-        LCE_DCHECK(w.is_constant);
-        if (w.dtype == DataType::kBitpacked) {
-          k.bconv = std::make_shared<BConv2D>(
-              w.constant_data.data<TBitpacked>(), attrs);
-        } else {
-          k.bconv = std::make_shared<BConv2D>(w.constant_data.data<float>(),
-                                              attrs);
-        }
-        packed_weight_bytes += k.bconv->packed_weights_bytes();
-        break;
-      }
-      default:
-        break;  // stateless ops
-    }
+    kernels_[id] = def.prepare(graph_, n, root_state, &packed_weight_bytes);
   }
   // Variants report 0 resident weight bytes: everything they hold is an
   // alias of the root's packed weights (asserted flat by the serving
@@ -647,184 +491,13 @@ void ExecutionContext::Reset() {
 }
 
 void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
-  Tensor out = ValueTensor(n.outputs[0]);
-  const auto& kernels = model_->kernels_;
-  switch (n.type) {
-    case OpType::kConv2D: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      kernels[n.id].conv->Run(in, out, ctx_);
-      break;
-    }
-    case OpType::kDepthwiseConv2D: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      kernels[n.id].dwconv->Run(in, out, &ctx_.pool());
-      break;
-    }
-    case OpType::kFullyConnected: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      kernels[n.id].fc->Run(in, out, ctx_);
-      break;
-    }
-    case OpType::kLceBFullyConnected: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      kernels[n.id].bfc->Run(in, out, ctx_);
-      break;
-    }
-    case OpType::kLceBConv2d: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      kernels[n.id].bconv->Run(in, out, ctx_,
-                               prof != nullptr ? &prof->bconv : nullptr);
-      break;
-    }
-    case OpType::kFakeSign: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      const float* src = in.data<float>();
-      float* dst = out.data<float>();
-      const std::int64_t count = in.num_elements();
-      for (std::int64_t i = 0; i < count; ++i) dst[i] = SignValue(src[i]);
-      break;
-    }
-    case OpType::kBatchNorm: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      BatchNormFloat(in, n.attrs.bn_scale, n.attrs.bn_offset, out);
-      break;
-    }
-    case OpType::kRelu: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      ReluFloat(in, out);
-      break;
-    }
-    case OpType::kPRelu: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      const int c = static_cast<int>(in.shape().dim(in.shape().rank() - 1));
-      const std::int64_t outer = in.num_elements() / c;
-      const float* src = in.data<float>();
-      float* dst = out.data<float>();
-      const float* slope = n.attrs.prelu_slope.data();
-      for (std::int64_t r = 0; r < outer; ++r) {
-        for (int j = 0; j < c; ++j) {
-          const float v = src[r * c + j];
-          dst[r * c + j] = v > 0.0f ? v : v * slope[j];
-        }
-      }
-      break;
-    }
-    case OpType::kMaxPool2D: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      MaxPool2DFloat(in, n.attrs.pool, out, &ctx_.pool());
-      break;
-    }
-    case OpType::kAvgPool2D: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      AvgPool2DFloat(in, n.attrs.pool, out);
-      break;
-    }
-    case OpType::kGlobalAvgPool: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      GlobalAvgPoolFloat(in, out);
-      break;
-    }
-    case OpType::kAdd: {
-      Tensor a = ValueTensor(n.inputs[0]);
-      Tensor b = ValueTensor(n.inputs[1]);
-      AddFloat(a, b, n.attrs.activation, out, &ctx_.pool());
-      break;
-    }
-    case OpType::kSoftmax: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      SoftmaxFloat(in, out);
-      break;
-    }
-    case OpType::kConcat: {
-      // Channel-axis concat: interleave per spatial position.
-      const Shape& os = out.shape();
-      const std::int64_t outer = os.dim(0) * os.dim(1) * os.dim(2);
-      const int out_c = static_cast<int>(os.dim(3));
-      float* dst = out.data<float>();
-      int offset = 0;
-      for (int in_id : n.inputs) {
-        Tensor in = ValueTensor(in_id);
-        const int c = static_cast<int>(in.shape().dim(3));
-        const float* src = in.data<float>();
-        for (std::int64_t r = 0; r < outer; ++r) {
-          std::memcpy(dst + r * out_c + offset, src + r * c,
-                      static_cast<std::size_t>(c) * sizeof(float));
-        }
-        offset += c;
-      }
-      break;
-    }
-    case OpType::kSlice: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      const int c = static_cast<int>(in.shape().dim(3));
-      const std::int64_t outer = in.num_elements() / c;
-      const float* src = in.data<float>();
-      float* dst = out.data<float>();
-      const int begin = n.attrs.slice_begin, count = n.attrs.slice_count;
-      for (std::int64_t r = 0; r < outer; ++r) {
-        std::memcpy(dst + r * count, src + r * c + begin,
-                    static_cast<std::size_t>(count) * sizeof(float));
-      }
-      break;
-    }
-    case OpType::kMulChannel: {
-      Tensor x = ValueTensor(n.inputs[0]);
-      Tensor gate = ValueTensor(n.inputs[1]);
-      const Shape& xs = x.shape();
-      const int batch = static_cast<int>(xs.dim(0));
-      const std::int64_t hw = xs.dim(1) * xs.dim(2);
-      const int c = static_cast<int>(xs.dim(3));
-      const float* px = x.data<float>();
-      const float* pg = gate.data<float>();
-      float* po = out.data<float>();
-      for (int b = 0; b < batch; ++b) {
-        const float* gb = pg + static_cast<std::int64_t>(b) * c;
-        for (std::int64_t p = 0; p < hw; ++p) {
-          const std::int64_t base = (b * hw + p) * c;
-          for (int i = 0; i < c; ++i) po[base + i] = px[base + i] * gb[i];
-        }
-      }
-      break;
-    }
-    case OpType::kConv2DInt8: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      kernels[n.id].conv_int8->Run(in, out, ctx_);
-      break;
-    }
-    case OpType::kQuantizeInt8: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      const float* src = in.data<float>();
-      std::int8_t* dst = out.data<std::int8_t>();
-      const QuantParams& q = n.attrs.output_quant;
-      const std::int64_t count = in.num_elements();
-      for (std::int64_t i = 0; i < count; ++i) dst[i] = QuantizeValue(src[i], q);
-      break;
-    }
-    case OpType::kDequantizeInt8: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      const std::int8_t* src = in.data<std::int8_t>();
-      float* dst = out.data<float>();
-      const QuantParams& q = n.attrs.input_quant;
-      const std::int64_t count = in.num_elements();
-      for (std::int64_t i = 0; i < count; ++i) dst[i] = DequantizeValue(src[i], q);
-      break;
-    }
-    case OpType::kLceQuantize: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      LceQuantize(in, out, &ctx_.pool());
-      break;
-    }
-    case OpType::kLceDequantize: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      LceDequantize(in, out);
-      break;
-    }
-    case OpType::kLceBMaxPool2d: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      LceBMaxPool2d(in, n.attrs.pool, out);
-      break;
-    }
+  operands_.resize(n.inputs.size());
+  for (std::size_t i = 0; i < n.inputs.size(); ++i) {
+    operands_[i] = ValueTensor(n.inputs[i]);
   }
+  Tensor out = ValueTensor(n.outputs[0]);
+  GetOpDef(n.type).run({n, model_->kernels_[n.id].get(), operands_, out, ctx_,
+                        prof != nullptr ? &prof->bconv : nullptr});
 }
 
 Status ExecutionContext::Invoke(const CancellationToken* cancel) {
@@ -887,7 +560,8 @@ Status ExecutionContext::Invoke(const CancellationToken* cancel) {
           prof.node_id = id;
           prof.name = n.name;
           prof.type = n.type;
-          prof.is_binary_op = IsBinaryOp(n.type);
+          prof.is_binary_op =
+              GetOpDef(n.type).dialect == OpDialect::kBinary;
           prof.seconds = static_cast<double>(t1 - t0) * 1e-9;
           profile_.push_back(std::move(prof));
         }

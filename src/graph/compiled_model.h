@@ -3,7 +3,8 @@
 //
 // A CompiledModel is everything about a prepared model that is *immutable*
 // after Compile(): the validated graph reference, its topological order,
-// the static arena memory plan, and the prepared kernel objects with their
+// the static arena memory plan, and each node's prepared state -- the
+// kernel object its OpDef::prepare built (graph/op_registry.h), with
 // pre-packed (32x-compressed) binary weights. It is built once and can be
 // shared, read-only, by any number of threads.
 //
@@ -19,7 +20,7 @@
 // *variant*, named by a VariantKey {input_hw, batch} and compiled once by
 // GetOrCompileVariant: its graph is a replayed clone at the new input
 // shapes, and every weight-bearing kernel shares the root kernel's packed
-// weights. Ownership is one-directional: the root owns every variant in its
+// weights (OpDef::prepare builds the sibling from the root node's state). Ownership is one-directional: the root owns every variant in its
 // registry, and the handles GetOrCompileVariant gives out share the root's
 // reference count (shared_ptr aliasing), so a handle keeps the root -- and
 // with it the whole registry -- alive, while the root never refers back to
@@ -45,12 +46,7 @@
 #include "core/tensor.h"
 #include "gemm/context.h"
 #include "graph/ir.h"
-#include "kernels/bconv2d.h"
-#include "kernels/bfully_connected.h"
-#include "kernels/conv2d_float.h"
-#include "kernels/conv2d_int8.h"
-#include "kernels/depthwise_conv.h"
-#include "kernels/fully_connected.h"
+#include "graph/op_registry.h"
 
 namespace lce::telemetry {
 class Histogram;
@@ -113,7 +109,7 @@ struct OpProfile {
   OpType type = OpType::kConv2D;
   double seconds = 0.0;
   BConvStageTimes bconv;  // only meaningful for kLceBConv2d
-  // True for the binary operators (LceQuantize/LceBConv2d/LceBMaxPool2d).
+  // True for the binary-dialect operators (OpDialect::kBinary).
   bool is_binary_op = false;
 };
 
@@ -196,9 +192,9 @@ class CompiledModel {
   CompiledModel(std::unique_ptr<const Graph> owned_graph,
                 const CompiledModel* root);
   // When `weight_source` is non-null this is a variant build: `node_map`
-  // maps this graph's node ids to the source model's, and every
-  // weight-bearing kernel is constructed as a sibling sharing the mapped
-  // source kernel's packed weights.
+  // maps this graph's node ids to the source model's, and each node's
+  // OpDef::prepare receives the mapped source node's state to share its
+  // packed weights.
   Status Build(CompileOptions options, const CompiledModel* weight_source,
                const std::vector<int>* node_map);
   // Clones this (root) model's graph at `key`'s input shapes and builds the
@@ -230,21 +226,15 @@ class CompiledModel {
   std::size_t arena_size_ = 0;
   std::size_t packed_weight_bytes_ = 0;
 
-  // Prepared kernel objects, indexed by node id (only one is non-null).
-  // Kernel Run() is const and keeps no per-invocation state (all scratch
-  // comes from the caller's gemm::Context), so one kernel instance serves
-  // all concurrent contexts. shared_ptr because a variant aliases the
-  // root's shape-agnostic kernels (bfc/fc) outright and holds
-  // weight-sharing siblings of the geometry-dependent ones.
-  struct PreparedKernels {
-    std::shared_ptr<const BConv2D> bconv;
-    std::shared_ptr<const BFullyConnected> bfc;
-    std::shared_ptr<const Conv2DFloat> conv;
-    std::shared_ptr<const Conv2DInt8> conv_int8;
-    std::shared_ptr<const DepthwiseConv2DFloat> dwconv;
-    std::shared_ptr<const FullyConnectedFloat> fc;
-  };
-  std::vector<PreparedKernels> kernels_;
+  // One prepared-state slot per node, indexed by node id: whatever the
+  // node's OpDef::prepare built (null for stateless ops), handed back to
+  // its OpDef::run. Kernel Run() is const and keeps no per-invocation
+  // state (all scratch comes from the caller's gemm::Context), so one
+  // kernel instance serves all concurrent contexts. shared_ptr because a
+  // variant aliases the root's batch-agnostic kernels (FC / binary FC)
+  // outright and holds weight-sharing siblings of the geometry-dependent
+  // ones.
+  std::vector<PreparedState> kernels_;
   // Retained for variant builds (variants compile under the same limits
   // and histogram setting as their root).
   ResourceLimits limits_;
@@ -374,6 +364,9 @@ class ExecutionContext {
   AlignedBuffer arena_;
   bool arena_ok_ = false;
   std::vector<OpProfile> profile_;
+  // Operand views of the node RunNode is executing; reused across nodes so
+  // dispatch allocates nothing after the first Invoke.
+  std::vector<Tensor> operands_;
   std::int64_t request_id_ = 0;
   int nodes_executed_ = 0;
   int io_lane_ = -1;

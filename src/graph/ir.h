@@ -60,13 +60,16 @@ enum class OpType : std::uint8_t {
   kLceBFullyConnected,  // bitpacked in; float out (binary MLP classifier)
 };
 
-// Range validator for op-type bytes read from untrusted model files; must
-// pass before a raw byte is static_cast to OpType. Keep in sync with the
-// last enumerator above.
-constexpr bool IsValidOpType(std::uint8_t v) {
-  return v <= static_cast<std::uint8_t>(OpType::kLceBFullyConnected);
-}
+// Number of OpType enumerators. The op registry (graph/op_registry.h)
+// static_asserts that it holds exactly one row per enumerator.
+inline constexpr std::size_t kNumOpTypes =
+    static_cast<std::size_t>(OpType::kLceBFullyConnected) + 1;
 
+// Range validator for op-type bytes read from untrusted model files; must
+// pass before a raw byte is static_cast to OpType.
+constexpr bool IsValidOpType(std::uint8_t v) { return v < kNumOpTypes; }
+
+// The op's registry name; "unknown" for an out-of-range value.
 std::string_view OpTypeName(OpType t);
 
 // One attrs struct shared by all ops; each op reads the fields it needs.

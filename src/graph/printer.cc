@@ -2,34 +2,10 @@
 
 #include <cstdio>
 
+#include "graph/op_registry.h"
 
 namespace lce {
 namespace {
-
-bool IsBinaryOp(OpType t) {
-  return t == OpType::kLceQuantize || t == OpType::kLceDequantize ||
-         t == OpType::kLceBConv2d || t == OpType::kLceBMaxPool2d ||
-         t == OpType::kLceBFullyConnected;
-}
-
-std::int64_t NodeMacs(const Node& n) {
-  switch (n.type) {
-    case OpType::kConv2D:
-    case OpType::kLceBConv2d:
-      return n.attrs.conv.macs();
-    case OpType::kDepthwiseConv2D: {
-      const Conv2DGeometry& c = n.attrs.conv;
-      return static_cast<std::int64_t>(c.batch) * c.out_h() * c.out_w() *
-             c.filter_h * c.filter_w * c.in_c;
-    }
-    case OpType::kFullyConnected:
-    case OpType::kLceBFullyConnected:
-      return static_cast<std::int64_t>(n.attrs.fc_in_features) *
-             n.attrs.fc_out_features;
-    default:
-      return 0;
-  }
-}
 
 std::int64_t NodeParams(const Graph& g, const Node& n) {
   std::int64_t params = static_cast<std::int64_t>(n.attrs.bias.size()) +
@@ -51,32 +27,23 @@ std::string GraphSummary(const Graph& g) {
                 "op", "name", "output", "MACs", "params");
   out += line;
   int idx = 0;
-  std::int64_t total_macs = 0, total_params = 0;
+  std::int64_t total_macs = 0, binary_macs = 0, total_params = 0;
   for (int id : g.TopologicalOrder()) {
     const Node& n = g.node(id);
     const Value& v = g.value(n.outputs[0]);
     const std::string shape =
         std::string(DataTypeName(v.dtype)) + v.shape.ToString();
-    const std::int64_t macs = NodeMacs(n);
+    const MacCount macs = CountMacs(g, n);
     const std::int64_t params = NodeParams(g, n);
-    total_macs += macs;
+    total_macs += macs.macs;
+    if (macs.binary) binary_macs += macs.macs;
     total_params += params;
     std::snprintf(line, sizeof(line), "%-4d %-16s %-26s %-22s %12lld %12lld\n",
                   idx++, std::string(OpTypeName(n.type)).c_str(),
                   n.name.c_str(), shape.c_str(),
-                  static_cast<long long>(macs),
+                  static_cast<long long>(macs.macs),
                   static_cast<long long>(params));
     out += line;
-  }
-  std::int64_t binary_macs = 0;
-  for (int id : g.TopologicalOrder()) {
-    const Node& n = g.node(id);
-    if (n.type == OpType::kLceBConv2d ||
-        n.type == OpType::kLceBFullyConnected ||
-        ((n.type == OpType::kConv2D || n.type == OpType::kFullyConnected) &&
-         n.attrs.binarize_weights)) {
-      binary_macs += NodeMacs(n);
-    }
   }
   std::snprintf(line, sizeof(line),
                 "total: %lld MACs (%lld binary, %lld float), %lld params, "
@@ -101,7 +68,7 @@ std::string GraphToDot(const Graph& g) {
                   std::string(OpTypeName(n.type)).c_str(),
                   std::string(DataTypeName(v.dtype)).c_str(),
                   v.shape.ToString().c_str(),
-                  IsBinaryOp(n.type)
+                  GetOpDef(n.type).dialect == OpDialect::kBinary
                       ? ", style=filled, fillcolor=lightblue"
                       : "");
     out += line;

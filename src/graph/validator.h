@@ -4,7 +4,8 @@
 // DeserializeGraph bounds-checks the *byte stream*; this layer checks that
 // the resulting graph is *semantically* legal, so that Interpreter::Prepare
 // and Invoke can execute it without any further checks on model-derived
-// data. Concretely, for every live node it verifies:
+// data. The op-specific rules live in each op's OpDef (graph/op_registry.h).
+// Concretely, for every live node it verifies:
 //
 //   * operand arity, ranks, and dtypes for all op types;
 //   * weight operands are constants of the expected dtype and rank;

@@ -1,48 +1,15 @@
 #include "models/macs.h"
 
+#include "graph/op_registry.h"
+
 namespace lce {
 
 ModelStats ComputeModelStats(const Graph& g) {
   ModelStats stats;
   for (const auto& n : g.nodes()) {
     if (!n->alive) continue;
-    switch (n->type) {
-      case OpType::kConv2D: {
-        const std::int64_t macs = n->attrs.conv.macs();
-        if (n->attrs.binarize_weights) {
-          stats.binary_macs += macs;
-        } else {
-          stats.float_macs += macs;
-        }
-        break;
-      }
-      case OpType::kLceBConv2d:
-        stats.binary_macs += n->attrs.conv.macs();
-        break;
-      case OpType::kDepthwiseConv2D: {
-        const Conv2DGeometry& c = n->attrs.conv;
-        stats.float_macs += static_cast<std::int64_t>(c.batch) * c.out_h() *
-                            c.out_w() * c.filter_h * c.filter_w * c.in_c;
-        break;
-      }
-      case OpType::kFullyConnected: {
-        const std::int64_t macs =
-            static_cast<std::int64_t>(n->attrs.fc_in_features) *
-            n->attrs.fc_out_features;
-        if (n->attrs.binarize_weights) {
-          stats.binary_macs += macs;
-        } else {
-          stats.float_macs += macs;
-        }
-        break;
-      }
-      case OpType::kLceBFullyConnected:
-        stats.binary_macs += static_cast<std::int64_t>(n->attrs.fc_in_features) *
-                             n->attrs.fc_out_features;
-        break;
-      default:
-        break;
-    }
+    const MacCount mc = CountMacs(g, *n);
+    (mc.binary ? stats.binary_macs : stats.float_macs) += mc.macs;
     // Attribute-side parameters (biases, batch-norm affine, fused
     // multipliers).
     stats.params += static_cast<std::int64_t>(n->attrs.bias.size()) +

@@ -11,7 +11,7 @@ namespace lce {
 
 struct ModelStats {
   std::int64_t binary_macs = 0;   // MACs executed by binarized convolutions
-  std::int64_t float_macs = 0;    // full-precision MACs (conv, dwconv, fc)
+  std::int64_t float_macs = 0;    // non-binary (float and int8) MACs
   std::int64_t params = 0;        // weight + bias + norm parameters
   std::size_t model_bytes = 0;    // serialized constant storage
 
@@ -23,8 +23,9 @@ struct ModelStats {
   }
 };
 
-// Works on both dialects: emulated binarized convolutions (training graphs)
-// and LceBConv2d (inference graphs) count as binary MACs.
+// Works on every dialect: emulated binarized conv / FC (training graphs)
+// and LceBConv2d / LceBFullyConnected (inference graphs) count as binary
+// MACs. Per-node counts come from the op registry (CountMacs).
 ModelStats ComputeModelStats(const Graph& g);
 
 }  // namespace lce

@@ -11,6 +11,7 @@
 #include "converter/serializer.h"
 #include "core/random.h"
 #include "graph/interpreter.h"
+#include "graph/shape_variant.h"
 #include "models/macs.h"
 #include "models/zoo.h"
 
@@ -150,6 +151,22 @@ TEST(QuickNet, LargerVariantsHaveMoreMacs) {
   const auto l = ComputeModelStats(BuildQuickNet(QuickNetLargeConfig(), kTestHw));
   EXPECT_LT(s.binary_macs, m.binary_macs);
   EXPECT_LT(m.binary_macs, l.binary_macs);
+}
+
+TEST(ModelStats, MacsScaleWithBatch) {
+  // Every MAC-bearing op, the fully connected classifier included, counts
+  // its batch: a batch-4 clone executes exactly 4x the batch-1 MACs.
+  Graph g = BuildQuickNet(QuickNetSmallConfig(), kTestHw);
+  ASSERT_TRUE(Convert(g).ok());
+  std::unique_ptr<Graph> batched;
+  ASSERT_TRUE(
+      CloneGraphWithInputShapes(g, {Shape{4, kTestHw, kTestHw, 3}}, &batched)
+          .ok());
+  const ModelStats one = ComputeModelStats(g);
+  const ModelStats four = ComputeModelStats(*batched);
+  EXPECT_GT(one.float_macs, 0);
+  EXPECT_EQ(four.binary_macs, 4 * one.binary_macs);
+  EXPECT_EQ(four.float_macs, 4 * one.float_macs);
 }
 
 TEST(ShortcutAblation, VariantsDifferOnlyInGlue) {

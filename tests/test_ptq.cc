@@ -11,6 +11,7 @@
 #include "core/random.h"
 #include "graph/interpreter.h"
 #include "models/builder.h"
+#include "models/macs.h"
 #include "models/zoo.h"
 
 namespace lce {
@@ -188,6 +189,18 @@ TEST(Ptq, FloatResNet18EndToEnd) {
                        std::abs(static_cast<double>(reference[i]) - quantized[i]));
   }
   EXPECT_LT(max_err, 0.05);
+}
+
+TEST(Ptq, MacsSurviveQuantization) {
+  // PTQ swaps each Conv2D for a Conv2DInt8 of the same geometry, so the
+  // model executes the same MACs, now counted as non-binary int8 MACs.
+  Graph g = BuildFloatResNet18(64);
+  const ModelStats before = ComputeModelStats(g);
+  ASSERT_TRUE(QuantizeModelInt8(g).ok());
+  const ModelStats after = ComputeModelStats(g);
+  EXPECT_EQ(after.binary_macs, 0);
+  EXPECT_EQ(after.binary_macs + after.float_macs,
+            before.binary_macs + before.float_macs);
 }
 
 }  // namespace

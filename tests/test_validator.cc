@@ -142,6 +142,18 @@ TEST(Validator, TryAddNodeRejectsEmptyConvOutput) {
   EXPECT_FALSE(g.TryAddNode(OpType::kConv2D, "c", {x, wid}, a, &out).ok());
 }
 
+TEST(Validator, TryAddNodeRejectsOverflowingSliceRange) {
+  // begin + count must not wrap in int arithmetic (UBSan would flag it).
+  Graph g;
+  const int x = g.AddInput("x", DataType::kFloat32, Shape{1, 4, 4, 8});
+  OpAttrs a;
+  a.slice_begin = std::numeric_limits<int>::max();
+  a.slice_count = std::numeric_limits<int>::max();
+  int out = -1;
+  const Status s = g.TryAddNode(OpType::kSlice, "s", {x}, a, &out);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+}
+
 // ---- ValidateGraph rejects corrupted-but-parseable graphs -------------------
 
 // Each case corrupts one aspect of a freshly built valid graph and names the
