@@ -1,8 +1,7 @@
-// Int8 dot-product tier microbenchmark (the ISSUE "break the int8
-// plateau" acceptance artifact): QuickNet-stage int8 convolutions swept
-// over the selectable micro-kernel tiers (gemm/int8_isa.h) and, for the
-// best tier, over the weight-stationary blocking factor
-// (Conv2DInt8Attrs::block_tiles).
+// Int8 dot-product tier microbenchmark: QuickNet-stage int8 convolutions
+// and the ResNet-18 stem and 1x1 s2 shortcut swept over the selectable
+// micro-kernel tiers (gemm/int8_isa.h) and, for the best tier, over the
+// weight-stationary blocking factor (Conv2DInt8Attrs::block_tiles).
 //
 // All tiers run the same fused row-tile pipeline on the same prepared
 // kernels; the widened tier is the baseline the dot-product tiers must
@@ -11,8 +10,9 @@
 // a shared host hits every tier equally; per-tier medians are reported.
 //
 // The committed BENCH_int8_dotprod.json at the repo root is this report
-// (Release, --json=...); the perf-smoke CI job re-runs it and asserts the
-// selected tier is the best compiled-in one.
+// (Release, --json=...) plus a `before` section from the previous commit
+// (docs/PERFORMANCE.md, "Measuring it"); the perf-smoke CI job re-runs it
+// and asserts the selected tier is the best compiled-in one.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -41,26 +41,61 @@ std::vector<gemm::Int8Tier> SweptTiers() {
 
 struct Int8Stage {
   int hw, in_c, out_c;
+  int k = 3, stride = 1;
+  bool per_channel = false;
 };
 
 // QuickNet's full-precision int8 stages (same shapes and quantization the
-// ablation bench uses, so the numbers line up across reports).
-constexpr Int8Stage kStages[] = {{56, 32, 64}, {28, 64, 64}, {14, 128, 128}};
+// ablation bench uses, so the numbers line up across reports), then the
+// two ResNet-18 shapes that dominate the int8 PTQ benchmark's conv time
+// besides its 3x3 stages: the 7x7 s2 stem (in_c 3) and a 1x1 s2 shortcut,
+// both with per-channel weight scales as the PTQ converter emits them.
+constexpr Int8Stage kStages[] = {{56, 32, 64},
+                                 {28, 64, 64},
+                                 {14, 128, 128},
+                                 {224, 3, 64, 7, 2, true},
+                                 {56, 64, 128, 1, 2, true}};
 
 Conv2DInt8Attrs StageAttrs(const Int8Stage& c, int block_tiles) {
   Conv2DGeometry g;
   g.in_h = g.in_w = c.hw;
   g.in_c = c.in_c;
   g.out_c = c.out_c;
-  g.filter_h = g.filter_w = 3;
+  g.filter_h = g.filter_w = c.k;
+  g.stride_h = g.stride_w = c.stride;
   g.padding = Padding::kSameZero;
   Conv2DInt8Attrs attrs;
   attrs.geo = g;
   attrs.input_quant = {0.02f, 3};
   attrs.weight_quant = {0.005f, 0};
   attrs.output_quant = {0.05f, -4};
+  if (c.per_channel) {
+    attrs.weight_scales.resize(c.out_c);
+    for (int n = 0; n < c.out_c; ++n) {
+      attrs.weight_scales[n] = 0.002f + 0.00005f * static_cast<float>(n % 64);
+    }
+  }
   attrs.block_tiles = block_tiles;
   return attrs;
+}
+
+// "56x56x32-64" for the 3x3 s1 stages; other filters append "-k7s2".
+std::string StageName(const Int8Stage& c) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "%dx%dx%d-%d", c.hw, c.hw, c.in_c,
+                c.out_c);
+  std::string s = name;
+  if (c.k != 3 || c.stride != 1) {
+    s += "-k" + std::to_string(c.k) + "s" + std::to_string(c.stride);
+  }
+  return s;
+}
+
+std::vector<std::int8_t> StageWeights(const Int8Stage& c, Rng& rng) {
+  std::vector<std::int8_t> w(static_cast<std::size_t>(c.out_c) * c.k * c.k *
+                             c.in_c);
+  for (auto& v : w) v = rng.Int8(-127, 127);
+  return w;
 }
 
 // Interleaved round-robin medians over `runs` thunks.
@@ -120,9 +155,7 @@ int main(int argc, char** argv) {
     Rng rng(c.hw + c.in_c);
     Tensor in(DataType::kInt8, Shape{1, c.hw, c.hw, c.in_c});
     FillInt8(in, rng);
-    std::vector<std::int8_t> w(static_cast<std::size_t>(c.out_c) * 9 *
-                               c.in_c);
-    for (auto& v : w) v = rng.Int8(-127, 127);
+    const std::vector<std::int8_t> w = StageWeights(c, rng);
     const Conv2DInt8Attrs attrs = StageAttrs(c, /*block_tiles=*/64);
     Conv2DInt8 op(w.data(), attrs);
     Tensor out(DataType::kInt8,
@@ -138,10 +171,8 @@ int main(int argc, char** argv) {
     const std::vector<double> ms = InterleavedMedians(runs);
     gemm::SetInt8TierOverrideForTest(0);
 
-    char shape[64];
-    std::snprintf(shape, sizeof(shape), "%dx%dx%d-%d", c.hw, c.hw, c.in_c,
-                  c.out_c);
-    std::printf("  %-18s", shape);
+    const std::string shape = StageName(c);
+    std::printf("  %-18s", shape.c_str());
     double best_ms = ms[0];
     for (std::size_t i = 0; i < tiers.size(); ++i) {
       std::printf(" %10.3fms", ms[i] * 1e3);
@@ -183,14 +214,12 @@ int main(int argc, char** argv) {
     Rng rng(c.hw + c.in_c);
     Tensor in(DataType::kInt8, Shape{1, c.hw, c.hw, c.in_c});
     FillInt8(in, rng);
-    std::vector<std::int8_t> w(static_cast<std::size_t>(c.out_c) * 9 *
-                               c.in_c);
-    for (auto& v : w) v = rng.Int8(-127, 127);
+    const std::vector<std::int8_t> w = StageWeights(c, rng);
 
     std::vector<std::unique_ptr<Conv2DInt8>> ops;
     std::vector<std::function<void()>> runs;
-    Tensor out(DataType::kInt8,
-               Shape{1, c.hw, c.hw, c.out_c});
+    const Conv2DGeometry g = StageAttrs(c, 64).geo;
+    Tensor out(DataType::kInt8, Shape{1, g.out_h(), g.out_w(), c.out_c});
     for (int bt : kBlockTiles) {
       ops.push_back(
           std::make_unique<Conv2DInt8>(w.data(), StageAttrs(c, bt)));
@@ -199,16 +228,13 @@ int main(int argc, char** argv) {
     }
     const std::vector<double> ms = InterleavedMedians(runs);
 
-    char shape[64];
-    std::snprintf(shape, sizeof(shape), "%dx%dx%d-%d", c.hw, c.hw, c.in_c,
-                  c.out_c);
-    std::printf("  %-18s", shape);
+    const std::string shape = StageName(c);
+    std::printf("  %-18s", shape.c_str());
     for (std::size_t i = 0; i < ops.size(); ++i) {
       std::printf(" %8.3fms ", ms[i] * 1e3);
-      char key[96];
-      std::snprintf(key, sizeof(key), "int8_dotprod.block_tiles_%d_ms.%s",
-                    kBlockTiles[i], shape);
-      report.AddResult(key, ms[i] * 1e3);
+      report.AddResult("int8_dotprod.block_tiles_" +
+                           std::to_string(kBlockTiles[i]) + "_ms." + shape,
+                       ms[i] * 1e3);
     }
     std::printf("\n");
   }

@@ -1,7 +1,9 @@
 #include "gemm/int8_gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
 
 #if defined(__AVX2__) || defined(__AVX512VNNI__)
 #include <immintrin.h>
@@ -286,65 +288,125 @@ void DotPanelPortable(const std::int8_t* arows, int lda,
 }
 
 #if defined(__AVX512VNNI__)
-// vpdpbusd is u8 x s8: each staged 4-byte activation group gets the +128
-// bias (XOR 0x80808080) before broadcasting, and the epilogue subtracts
-// 128 * rowsum(w). The instruction's internal 4-product sum is at most
-// 255*128*4 < 2^17, so the i32 lane accumulation is exact by construction.
-// Four independent accumulator rows hide the dpbusd latency; the 64-byte B
-// line is loaded once per K-group and shared across the quartet.
-void DotPanelVnni(const std::int8_t* arows, int lda, const std::int8_t* panel,
-                  int k_groups, const std::int32_t* row_sums, int col0,
-                  int cols, int block_rows, std::int32_t* out, int ldc) {
-  const __mmask16 mask = cols == kInt8DotNr
-                             ? static_cast<__mmask16>(0xffff)
-                             : static_cast<__mmask16>((1u << cols) - 1);
-  // row_sums is padded to a panel multiple, so the full-width load is safe
-  // even on the last partial panel (the store below stays masked). mullo
-  // rather than slli: GCC 12's slli expands through _mm512_undefined_epi32
-  // and trips -Wmaybe-uninitialized (PR105593); this is loop-invariant
-  // anyway.
-  const __m512i corr = _mm512_mullo_epi32(
-      _mm512_loadu_si512(reinterpret_cast<const void*>(row_sums + col0)),
-      _mm512_set1_epi32(128));
-  const auto bias_bcast = [](const std::int8_t* a, int g) {
-    std::uint32_t w;
-    std::memcpy(&w, a + static_cast<std::int64_t>(g) * kInt8DotKg, 4);
-    return _mm512_set1_epi32(static_cast<int>(w ^ 0x80808080u));
-  };
-  int r = 0;
-  for (; r + 4 <= block_rows; r += 4) {
-    const std::int8_t* a0 = arows + static_cast<std::int64_t>(r) * lda;
-    const std::int8_t* a1 = a0 + lda;
-    const std::int8_t* a2 = a1 + lda;
-    const std::int8_t* a3 = a2 + lda;
-    __m512i acc0 = _mm512_setzero_si512();
-    __m512i acc1 = _mm512_setzero_si512();
-    __m512i acc2 = _mm512_setzero_si512();
-    __m512i acc3 = _mm512_setzero_si512();
-    for (int g = 0; g < k_groups; ++g) {
-      const __m512i b = _mm512_load_si512(panel + static_cast<std::int64_t>(g) *
-                                                      kInt8DotNr * kInt8DotKg);
-      acc0 = _mm512_dpbusd_epi32(acc0, bias_bcast(a0, g), b);
-      acc1 = _mm512_dpbusd_epi32(acc1, bias_bcast(a1, g), b);
-      acc2 = _mm512_dpbusd_epi32(acc2, bias_bcast(a2, g), b);
-      acc3 = _mm512_dpbusd_epi32(acc3, bias_bcast(a3, g), b);
-    }
-    std::int32_t* o = out + static_cast<std::int64_t>(r) * ldc + col0;
-    _mm512_mask_storeu_epi32(o, mask, _mm512_sub_epi32(acc0, corr));
-    _mm512_mask_storeu_epi32(o + ldc, mask, _mm512_sub_epi32(acc1, corr));
-    _mm512_mask_storeu_epi32(o + 2 * ldc, mask, _mm512_sub_epi32(acc2, corr));
-    _mm512_mask_storeu_epi32(o + 3 * ldc, mask, _mm512_sub_epi32(acc3, corr));
+// vpdpbusd is u8 x s8: the staged rows already carry the +128 activation
+// bias (GatherStageInt8Dot XORs every byte with 0x80 for this tier), so
+// each 4-byte activation group is one memory-operand vpbroadcastd, and the
+// store subtracts 128 * rowsum(w). The instruction's internal 4-product sum
+// is at most 255*128*4 < 2^17, so the i32 lane accumulation is exact by
+// construction.
+//
+// acc += dot(a u8, b s8) per i32 lane. GCC 12 does not tie the intrinsic's
+// accumulator to its destination inside the unrolled register block: it
+// copies every accumulator around each vpdpbusd and spills the 8 x 2 block
+// to the stack. The asm form pins acc in place.
+inline __m512i Dpbusd(__m512i acc, __m512i a, __m512i b) {
+#if defined(__GNUC__) && !defined(__clang__)
+  asm("vpdpbusd %2, %1, %0" : "+v"(acc) : "v"(a), "v"(b));
+  return acc;
+#else
+  return _mm512_dpbusd_epi32(acc, a, b);
+#endif
+}
+
+// Register block: kRows rows x kPanels panels (up to 8 x 2 = 8 rows x 32
+// channels, 16 zmm accumulators). Per K-group: kPanels 64-byte B-line
+// loads shared by all rows, kRows broadcasts shared by both panels.
+template <int kRows, int kPanels>
+void DotBlockVnni(const std::int8_t* arows, int lda,
+                  const std::int8_t* const panels[2], int k_groups,
+                  const __m512i corr[2], const __mmask16 masks[2],
+                  std::int32_t* out, int ldc) {
+  __m512i acc[kRows][kPanels];
+#pragma GCC unroll 8
+  for (int i = 0; i < kRows; ++i) {
+#pragma GCC unroll 2
+    for (int j = 0; j < kPanels; ++j) acc[i][j] = _mm512_setzero_si512();
   }
-  for (; r < block_rows; ++r) {
-    const std::int8_t* a = arows + static_cast<std::int64_t>(r) * lda;
-    __m512i acc = _mm512_setzero_si512();
-    for (int g = 0; g < k_groups; ++g) {
-      const __m512i b = _mm512_load_si512(panel + static_cast<std::int64_t>(g) *
-                                                      kInt8DotNr * kInt8DotKg);
-      acc = _mm512_dpbusd_epi32(acc, bias_bcast(a, g), b);
+  for (int g = 0; g < k_groups; ++g) {
+    const std::int64_t b_off =
+        static_cast<std::int64_t>(g) * kInt8DotNr * kInt8DotKg;
+    __m512i b[kPanels];
+#pragma GCC unroll 2
+    for (int j = 0; j < kPanels; ++j) {
+      b[j] = _mm512_load_si512(panels[j] + b_off);
     }
-    _mm512_mask_storeu_epi32(out + static_cast<std::int64_t>(r) * ldc + col0,
-                             mask, _mm512_sub_epi32(acc, corr));
+    const std::int8_t* a = arows + static_cast<std::int64_t>(g) * kInt8DotKg;
+#pragma GCC unroll 8
+    for (int i = 0; i < kRows; ++i) {
+      std::int32_t w;
+      std::memcpy(&w, a + static_cast<std::int64_t>(i) * lda, 4);
+      const __m512i av = _mm512_set1_epi32(w);
+#pragma GCC unroll 2
+      for (int j = 0; j < kPanels; ++j) {
+        acc[i][j] = Dpbusd(acc[i][j], av, b[j]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int i = 0; i < kRows; ++i) {
+    std::int32_t* o = out + static_cast<std::int64_t>(i) * ldc;
+#pragma GCC unroll 2
+    for (int j = 0; j < kPanels; ++j) {
+      _mm512_mask_storeu_epi32(o + j * kInt8DotNr, masks[j],
+                               _mm512_sub_epi32(acc[i][j], corr[j]));
+    }
+  }
+}
+
+// DotBlockVnni<1..8, kPanels>, indexed by row count - 1: the full 8-row
+// block and its row-tail instantiations.
+template <int kPanels, std::size_t... kRowsMinus1>
+constexpr auto DotBlockVnniTable(std::index_sequence<kRowsMinus1...>) {
+  return std::array{&DotBlockVnni<static_cast<int>(kRowsMinus1) + 1,
+                                  kPanels>...};
+}
+
+// Panel pairs outer (one 32-channel weight strip stays L1/L2-resident
+// across every row of the block), 8-row groups inner; an odd last panel
+// runs the single-panel block, a partial last panel and the row tail
+// store through masks.
+void DotComputeVnni(const std::int8_t* arows, int lda,
+                    const PackedInt8DotPanels& rhs, int block_rows,
+                    std::int32_t* out, int ldc) {
+  constexpr int kBlockRows = 8;
+  static constexpr auto kPairBlocks =
+      DotBlockVnniTable<2>(std::make_index_sequence<kBlockRows>{});
+  static constexpr auto kSingleBlocks =
+      DotBlockVnniTable<1>(std::make_index_sequence<kBlockRows>{});
+  const int n = rhs.n();
+  const int k_groups = rhs.k_groups();
+  const std::int32_t* row_sums = rhs.row_sums().data();
+  for (int p = 0; p < rhs.num_panels(); p += 2) {
+    const int np = std::min(2, rhs.num_panels() - p);
+    const std::int8_t* panels[2] = {rhs.panel(p), rhs.panel(p + np - 1)};
+    __m512i corr[2];
+    __mmask16 masks[2];
+    for (int j = 0; j < np; ++j) {
+      const int col0 = (p + j) * kInt8DotNr;
+      const int cols = std::min(kInt8DotNr, n - col0);
+      masks[j] = cols == kInt8DotNr
+                     ? static_cast<__mmask16>(0xffff)
+                     : static_cast<__mmask16>((1u << cols) - 1);
+      // row_sums is padded to a panel multiple, so the full-width load is
+      // safe even on a partial panel (the store stays masked). mullo rather
+      // than slli: GCC 12's slli expands through _mm512_undefined_epi32
+      // and trips -Wmaybe-uninitialized (PR105593).
+      corr[j] = _mm512_mullo_epi32(
+          _mm512_loadu_si512(reinterpret_cast<const void*>(row_sums + col0)),
+          _mm512_set1_epi32(128));
+    }
+    if (np == 1) {
+      corr[1] = corr[0];
+      masks[1] = masks[0];
+    }
+    const auto& blocks = np == 2 ? kPairBlocks : kSingleBlocks;
+    std::int32_t* o = out + static_cast<std::int64_t>(p) * kInt8DotNr;
+    for (int r = 0; r < block_rows; r += kBlockRows) {
+      const int rows = std::min(kBlockRows, block_rows - r);
+      blocks[rows - 1](arows + static_cast<std::int64_t>(r) * lda, lda, panels,
+                       k_groups, corr, masks,
+                       o + static_cast<std::int64_t>(r) * ldc, ldc);
+    }
   }
 }
 #endif  // __AVX512VNNI__
@@ -479,23 +541,30 @@ PackedInt8DotPanels::PackedInt8DotPanels(const std::int8_t* rows, int n, int k)
   }
 }
 
-void Int8DotComputeBlock(const std::int8_t* arows, int lda,
-                         const PackedInt8DotPanels& rhs, Int8Tier tier,
-                         int block_rows, std::int32_t* out, int ldc) {
+bool Int8DotRowsBiased(Int8Tier tier) {
+#if defined(__AVX512VNNI__)
+  return tier == Int8Tier::kVnni;
+#else
+  (void)tier;
+  return false;
+#endif
+}
+
+void Int8DotComputeStagedBlock(const std::int8_t* arows, int lda,
+                               const PackedInt8DotPanels& rhs, Int8Tier tier,
+                               int block_rows, std::int32_t* out, int ldc) {
+#if defined(__AVX512VNNI__)
+  if (tier == Int8Tier::kVnni) {
+    DotComputeVnni(arows, lda, rhs, block_rows, out, ldc);
+    return;
+  }
+#endif
   const int k_groups = rhs.k_groups();
   const int n = rhs.n();
-  (void)tier;  // unread on builds with no SIMD dot kernel compiled in
   for (int p = 0; p < rhs.num_panels(); ++p) {
     const int col0 = p * kInt8DotNr;
     const int cols = std::min(kInt8DotNr, n - col0);
     const std::int8_t* panel = rhs.panel(p);
-#if defined(__AVX512VNNI__)
-    if (tier == Int8Tier::kVnni) {
-      DotPanelVnni(arows, lda, panel, k_groups, rhs.row_sums().data(), col0,
-                   cols, block_rows, out, ldc);
-      continue;
-    }
-#endif
 #if defined(__AVX2__)
     if (tier == Int8Tier::kAvx2Dot) {
       DotPanelAvx2(arows, lda, panel, k_groups, rhs.row_sums().data(), col0,
@@ -514,6 +583,21 @@ void Int8DotComputeBlock(const std::int8_t* arows, int lda,
     DotPanelPortable(arows, lda, panel, k_groups, col0, cols, block_rows, out,
                      ldc);
   }
+}
+
+void Int8DotComputeBlock(const std::int8_t* arows, int lda,
+                         const PackedInt8DotPanels& rhs, Int8Tier tier,
+                         int block_rows, std::int32_t* out, int ldc) {
+  if (!Int8DotRowsBiased(tier)) {
+    Int8DotComputeStagedBlock(arows, lda, rhs, tier, block_rows, out, ldc);
+    return;
+  }
+  std::vector<std::int8_t> biased(static_cast<std::size_t>(block_rows) * lda);
+  for (std::size_t i = 0; i < biased.size(); ++i) {
+    biased[i] = static_cast<std::int8_t>(arows[i] ^ 0x80);
+  }
+  Int8DotComputeStagedBlock(biased.data(), lda, rhs, tier, block_rows, out,
+                            ldc);
 }
 
 }  // namespace lce::gemm

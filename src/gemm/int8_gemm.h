@@ -146,10 +146,26 @@ class PackedInt8DotPanels {
 // must be a dot-product tier or kScalar (the portable reference, also the
 // fallback when the requested kernel is not compiled in). The +128-bias
 // bookkeeping of the u8 x s8 kernels is internal; the result is always the
-// exact widened dot product.
+// exact widened dot product. Tiers that read pre-biased rows
+// (Int8DotRowsBiased) get a biased copy of `arows` first.
 void Int8DotComputeBlock(const std::int8_t* arows, int lda,
                          const PackedInt8DotPanels& rhs, Int8Tier tier,
                          int block_rows, std::int32_t* out, int ldc);
+
+// Whether `tier`'s dot kernel reads staged rows that already carry the +128
+// activation bias (every real byte XOR 0x80; K-padding bytes may hold
+// anything, their weights are zero): true for kVnni when its kernel is
+// compiled in, whose register block then broadcasts each 4-byte group
+// straight from memory. The AVX2 and NEON kernels and the portable
+// reference read raw rows.
+bool Int8DotRowsBiased(Int8Tier tier);
+
+// Int8DotComputeBlock on rows staged for `tier`: biased when
+// Int8DotRowsBiased(tier), raw otherwise (GatherStageInt8Dot's `bias`
+// flag). The compute core of the fused int8 convolution's dot path.
+void Int8DotComputeStagedBlock(const std::int8_t* arows, int lda,
+                               const PackedInt8DotPanels& rhs, Int8Tier tier,
+                               int block_rows, std::int32_t* out, int ldc);
 
 }  // namespace lce::gemm
 

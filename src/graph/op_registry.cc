@@ -5,6 +5,7 @@
 #include <iterator>
 
 #include "core/bitpack.h"
+#include "gemm/int8_isa.h"
 #include "kernels/bconv2d.h"
 #include "kernels/bfully_connected.h"
 #include "kernels/bmaxpool.h"
@@ -662,11 +663,12 @@ void RunMap(const OpRunArgs& a) {
 }
 
 void RunQuantizeInt8(const OpRunArgs& a) {
-  const float* src = a.inputs[0].data<float>();
-  std::int8_t* dst = a.output.data<std::int8_t>();
-  const QuantParams& q = a.node.attrs.output_quant;
-  const std::int64_t count = a.inputs[0].num_elements();
-  for (std::int64_t i = 0; i < count; ++i) dst[i] = QuantizeValue(src[i], q);
+  // Scalar-profile contexts and LCE_FORCE_ISA=scalar keep the whole int8
+  // path, this op included, on its portable loops.
+  const bool simd = a.ctx.profile() == gemm::KernelProfile::kSimd &&
+                    gemm::SelectInt8Tier() != gemm::Int8Tier::kScalar;
+  QuantizeInt8(a.inputs[0].data<float>(), a.inputs[0].num_elements(),
+               a.node.attrs.output_quant, simd, a.output.data<std::int8_t>());
 }
 
 void RunDequantizeInt8(const OpRunArgs& a) {

@@ -196,9 +196,10 @@ class Conv2DInt8TileCompute final : public pipeline::TileCompute {
 };
 
 // TileCompute policy of the int8 kernel, dot-product tiers (VNNI / AVX2
-// maddubs / NEON sdot): the gather only *stages* raw patch rows — the dot
+// maddubs / NEON sdot): the gather only *stages* patch rows — the dot
 // kernels broadcast 4-byte activation groups straight from them, so the
-// biased panel interleave pass of the widened path disappears. The block
+// panel interleave pass of the widened path disappears. For the VNNI tier
+// the staging copy also applies the u8 x s8 kernel's +128 bias. The block
 // compute is panel-outer / row-inner over the Compile()-time
 // PackedInt8DotPanels (weight-stationary: one panel stays L1-resident
 // across all rows of the block before the next streams in).
@@ -209,6 +210,7 @@ class Conv2DInt8DotTileCompute final : public pipeline::TileCompute {
       : op_(op),
         input_(input),
         tier_(tier),
+        biased_rows_(gemm::Int8DotRowsBiased(tier)),
         lda_(op.weights_->dot_panels.k_groups() * gemm::kInt8DotKg) {}
 
   std::size_t ShardScratchBytes(int block_tiles) const override {
@@ -231,17 +233,19 @@ class Conv2DInt8DotTileCompute final : public pipeline::TileCompute {
       }
       pipeline::GatherStageInt8Dot(
           input_, op_.indirection_, op_.pad_value_, trow0, gemm::kInt8Mr,
-          lda_, plan.interior(tile0 + i),
+          lda_, plan.interior(tile0 + i), biased_rows_,
           rows_stage + static_cast<std::int64_t>(i) * gemm::kInt8Mr * lda_);
     }
-    gemm::Int8DotComputeBlock(rows_stage, lda_, op_.weights_->dot_panels,
-                              tier_, block_rows, acc, op_.attrs_.geo.out_c);
+    gemm::Int8DotComputeStagedBlock(rows_stage, lda_,
+                                    op_.weights_->dot_panels, tier_,
+                                    block_rows, acc, op_.attrs_.geo.out_c);
   }
 
  private:
   const Conv2DInt8& op_;
   const std::int8_t* input_;
   gemm::Int8Tier tier_;
+  bool biased_rows_;  // stage rows with the +128 bias (VNNI tier)
   int lda_;
 };
 
@@ -262,13 +266,21 @@ void Conv2DInt8::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
     tier = gemm::Int8Tier::kWidened;
   }
 
+  // The scalar tier requantizes with the scalar reference loop as well.
+  const pipeline::Int8RequantReference reference_transform(
+      *weights_->transform);
+  const pipeline::OutputTransform& transform =
+      tier == gemm::Int8Tier::kScalar
+          ? static_cast<const pipeline::OutputTransform&>(reference_transform)
+          : *weights_->transform;
+
   if (attrs_.force_unfused) {
     // The legacy path has no dot-product kernel: it is the ablation
     // baseline, and keeping it on the widened family makes the fused-path
     // speedup attributable end to end.
     TierGauge()->Set(static_cast<std::int64_t>(
         scalar_ctx ? gemm::Int8Tier::kScalar : gemm::Int8Tier::kWidened));
-    RunUnfused(input, output, ctx);
+    RunUnfused(input, output, ctx, transform);
     return;
   }
   TierGauge()->Set(static_cast<std::int64_t>(tier));
@@ -291,13 +303,14 @@ void Conv2DInt8::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
   args.compute = gemm::Int8TierIsDotProduct(tier)
                      ? static_cast<const pipeline::TileCompute*>(&dot_compute)
                      : &panel_compute;
-  args.transform = weights_->transform.get();
+  args.transform = &transform;
   args.out = output.raw_data();
   pipeline::RunConvPipeline(args, ctx, times);
 }
 
 void Conv2DInt8::RunUnfused(const Tensor& input, Tensor& output,
-                            gemm::Context& ctx) const {
+                            gemm::Context& ctx,
+                            const pipeline::OutputTransform& transform) const {
   const Conv2DGeometry& g = attrs_.geo;
   const std::int64_t rows = Im2ColRows(g);
   const int depth = Im2ColDepthFloat(g);
@@ -310,7 +323,7 @@ void Conv2DInt8::RunUnfused(const Tensor& input, Tensor& output,
   gemm::Int8Gemm(patches, static_cast<int>(rows), weights_->matrix, acc,
                  g.out_c, ctx);
 
-  weights_->transform->Apply(acc, 0, rows, output.raw_data());
+  transform.Apply(acc, 0, rows, output.raw_data());
 }
 
 }  // namespace lce

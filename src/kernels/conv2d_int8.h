@@ -78,11 +78,11 @@ class Conv2DInt8 {
     gemm::PackedInt8DotPanels dot_panels;
     // Requantization policy (multipliers, shifts, activation clamp), shared
     // verbatim by the fused and legacy paths.
-    std::unique_ptr<pipeline::OutputTransform> transform;
+    std::unique_ptr<pipeline::Int8RequantTransform> transform;
   };
 
-  void RunUnfused(const Tensor& input, Tensor& output,
-                  gemm::Context& ctx) const;
+  void RunUnfused(const Tensor& input, Tensor& output, gemm::Context& ctx,
+                  const pipeline::OutputTransform& transform) const;
   // Builds the geometry-dependent per-variant state (pad value, indirection
   // cache, tile plan) -- the only setup a batch-variant sibling repeats.
   void InitGeometry();

@@ -160,6 +160,56 @@ void GatherPackFloatRows(const float* input, const Conv2DGeometry& g,
   }
 }
 
+// One staged patch-row copy of GatherStageInt8Dot; with kBias every byte
+// gets the +128 bias (XOR 0x80) on the way.
+template <bool kBias>
+void CopyTap(std::int8_t* dst, const std::int8_t* src, int n) {
+  if constexpr (kBias) {
+    for (int i = 0; i < n; ++i) {
+      dst[i] = static_cast<std::int8_t>(src[i] ^ 0x80);
+    }
+  } else {
+    std::memcpy(dst, src, static_cast<std::size_t>(n));
+  }
+}
+
+template <bool kBias>
+void GatherStageRows(const std::int8_t* input,
+                     const gemm::IndirectionOffsets& ind,
+                     std::int8_t pad_value, std::int64_t row0, int tile_rows,
+                     int lda, bool interior, std::int8_t* dst) {
+  const int taps = ind.taps();
+  const int in_c = ind.words();  // elems_per_pixel: bytes for int8 inputs
+  const int k = taps * in_c;
+  const std::int8_t pad =
+      kBias ? static_cast<std::int8_t>(pad_value ^ 0x80) : pad_value;
+  for (int r = 0; r < tile_rows; ++r) {
+    std::int8_t* drow = dst + static_cast<std::int64_t>(r) * lda;
+    const std::int64_t row = row0 + r;
+    if (row >= ind.rows()) {
+      std::memset(drow, 0, static_cast<std::size_t>(lda));
+      continue;
+    }
+    const std::int32_t* offs = ind.row(row);
+    std::int8_t* sp = drow;
+    if (interior) {
+      for (int t = 0; t < taps; ++t, sp += in_c) {
+        CopyTap<kBias>(sp, input + offs[t], in_c);
+      }
+    } else {
+      for (int t = 0; t < taps; ++t, sp += in_c) {
+        const std::int32_t off = offs[t];
+        if (off < 0) {
+          std::memset(sp, pad, static_cast<std::size_t>(in_c));
+        } else {
+          CopyTap<kBias>(sp, input + off, in_c);
+        }
+      }
+    }
+    if (k < lda) std::memset(drow + k, 0, static_cast<std::size_t>(lda - k));
+  }
+}
+
 }  // namespace
 
 void GatherPackBitpacked(const TBitpacked* input,
@@ -226,35 +276,14 @@ void GatherPackInt8(const std::int8_t* input,
 void GatherStageInt8Dot(const std::int8_t* input,
                         const gemm::IndirectionOffsets& ind,
                         std::int8_t pad_value, std::int64_t row0,
-                        int tile_rows, int lda, bool interior,
+                        int tile_rows, int lda, bool interior, bool bias,
                         std::int8_t* dst) {
-  const int taps = ind.taps();
-  const int in_c = ind.words();  // elems_per_pixel: bytes for int8 inputs
-  const int k = taps * in_c;
-  for (int r = 0; r < tile_rows; ++r) {
-    std::int8_t* drow = dst + static_cast<std::int64_t>(r) * lda;
-    const std::int64_t row = row0 + r;
-    if (row >= ind.rows()) {
-      std::memset(drow, 0, static_cast<std::size_t>(lda));
-      continue;
-    }
-    const std::int32_t* offs = ind.row(row);
-    std::int8_t* sp = drow;
-    if (interior) {
-      for (int t = 0; t < taps; ++t, sp += in_c) {
-        std::memcpy(sp, input + offs[t], static_cast<std::size_t>(in_c));
-      }
-    } else {
-      for (int t = 0; t < taps; ++t, sp += in_c) {
-        const std::int32_t off = offs[t];
-        if (off < 0) {
-          std::memset(sp, pad_value, static_cast<std::size_t>(in_c));
-        } else {
-          std::memcpy(sp, input + off, static_cast<std::size_t>(in_c));
-        }
-      }
-    }
-    if (k < lda) std::memset(drow + k, 0, static_cast<std::size_t>(lda - k));
+  if (bias) {
+    GatherStageRows<true>(input, ind, pad_value, row0, tile_rows, lda,
+                          interior, dst);
+  } else {
+    GatherStageRows<false>(input, ind, pad_value, row0, tile_rows, lda,
+                           interior, dst);
   }
 }
 

@@ -71,11 +71,14 @@ void GatherPackInt8(const std::int8_t* input,
 // zeroed so K-padding contributes nothing). The dot kernels
 // (gemm::Int8DotComputeBlock) read these rows directly — no biased panel
 // interleave pass, which is most of GatherPackInt8's non-memcpy work.
-// Rows beyond ind.rows() are zeroed (they never reach the output).
+// Rows beyond ind.rows() are zeroed (they never reach the output). With
+// `bias` set every gathered byte (padded taps included) is XORed with 0x80
+// on the way in: the +128 activation bias of the u8 x s8 VNNI kernel
+// (gemm::Int8DotRowsBiased), applied once here instead of per broadcast.
 void GatherStageInt8Dot(const std::int8_t* input,
                         const gemm::IndirectionOffsets& ind,
                         std::int8_t pad_value, std::int64_t row0,
-                        int tile_rows, int lda, bool interior,
+                        int tile_rows, int lda, bool interior, bool bias,
                         std::int8_t* dst);
 
 // Float gather for the full-precision Conv2D: packs the gemm::kFloatMr

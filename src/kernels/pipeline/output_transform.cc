@@ -4,6 +4,10 @@
 #include <cstring>
 #include <limits>
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 #include "core/bitpack.h"
 #include "core/macros.h"
 #include "core/quantization.h"
@@ -181,45 +185,174 @@ void Int32OutputTransform::Apply(const std::int32_t* acc, std::int64_t row0,
               static_cast<std::size_t>(nrows) * out_c_ * sizeof(std::int32_t));
 }
 
+namespace {
+
+std::int32_t SaturateInt32(std::int64_t v) {
+  return static_cast<std::int32_t>(
+      std::clamp<std::int64_t>(v, std::numeric_limits<std::int32_t>::min(),
+                               std::numeric_limits<std::int32_t>::max()));
+}
+
+// Fields of one Int8RequantTransform::simd_ block (16 int64 lanes each).
+enum SimdField { kOffset, kMult, kLeft, kRight, kRound, kSimdFields };
+constexpr int kSimdLanes = 16;
+
+}  // namespace
+
 Int8RequantTransform::Int8RequantTransform(
     int out_c, std::int32_t z_in, std::int32_t z_out,
     const std::int32_t* row_sums, std::vector<std::int32_t> bias,
     std::vector<std::int32_t> multiplier, std::vector<int> shift,
     std::int32_t act_min, std::int32_t act_max)
-    : out_c_(out_c),
-      z_in_(z_in),
-      z_out_(z_out),
-      row_sums_(row_sums),
-      bias_(std::move(bias)),
-      mult_(std::move(multiplier)),
-      shift_(std::move(shift)),
-      per_channel_(mult_.size() > 1),
-      act_min_(act_min),
-      act_max_(act_max) {
-  LCE_CHECK_EQ(mult_.size(), shift_.size());
-  if (per_channel_) LCE_CHECK_EQ(static_cast<int>(mult_.size()), out_c);
-  if (!bias_.empty()) LCE_CHECK_EQ(static_cast<int>(bias_.size()), out_c);
+    : out_c_(out_c), z_out_(z_out), act_min_(act_min), act_max_(act_max) {
+  LCE_CHECK_EQ(multiplier.size(), shift.size());
+  LCE_CHECK(!multiplier.empty());
+  const bool per_channel = multiplier.size() > 1;
+  if (per_channel) LCE_CHECK_EQ(static_cast<int>(multiplier.size()), out_c);
+  if (!bias.empty()) LCE_CHECK_EQ(static_cast<int>(bias.size()), out_c);
+  LCE_CHECK_LE(act_min, act_max);
+  offset_.resize(out_c);
+  mult_.resize(out_c);
+  shift_.resize(out_c);
+  for (int n = 0; n < out_c; ++n) {
+    offset_[n] = (bias.empty() ? 0 : static_cast<std::int64_t>(bias[n])) -
+                 static_cast<std::int64_t>(z_in) * row_sums[n];
+    mult_[n] = multiplier[per_channel ? n : 0];
+    shift_[n] = shift[per_channel ? n : 0];
+  }
+
+  // SIMD form of MultiplyByQuantizedMultiplier's shifts: a left shift
+  // capped at 32 (any nonzero value shifted 32 bits saturates, as in the
+  // scalar code) and a rounding right shift capped at 32 (the scalar code
+  // returns 0 past 31 bits; (h + 2^31) >> 32 is 0 for every int32 h).
+  // Padding channels stay all-zero; their lanes are never stored.
+  const int blocks = (out_c + kSimdLanes - 1) / kSimdLanes;
+  simd_.assign(static_cast<std::size_t>(blocks) * kSimdFields * kSimdLanes, 0);
+  for (int n = 0; n < out_c; ++n) {
+    std::int64_t* b = simd_.data() + static_cast<std::int64_t>(n / kSimdLanes) *
+                                         kSimdFields * kSimdLanes;
+    const int lane = n % kSimdLanes;
+    const int slot = lane % 2 == 0 ? lane / 2 : 8 + lane / 2;
+    const int left = std::clamp(shift_[n], 0, 32);
+    const int right = std::clamp(-shift_[n], 0, 32);
+    b[kOffset * kSimdLanes + slot] = offset_[n];
+    b[kMult * kSimdLanes + slot] = mult_[n];
+    b[kLeft * kSimdLanes + slot] = left;
+    b[kRight * kSimdLanes + slot] = right;
+    b[kRound * kSimdLanes + slot] = right > 0 ? std::int64_t{1} << (right - 1) : 0;
+  }
 }
 
-void Int8RequantTransform::Apply(const std::int32_t* acc, std::int64_t row0,
-                                 std::int64_t nrows, void* out_void) const {
+void Int8RequantTransform::ApplyReference(const std::int32_t* acc,
+                                          std::int64_t row0,
+                                          std::int64_t nrows,
+                                          void* out_void) const {
   const int out_c = out_c_;
   std::int8_t* out = static_cast<std::int8_t*>(out_void) + row0 * out_c;
-  const bool has_bias = !bias_.empty();
   for (std::int64_t r = 0; r < nrows; ++r) {
     const std::int32_t* a = acc + r * out_c;
     std::int8_t* o = out + r * out_c;
     for (int n = 0; n < out_c; ++n) {
-      std::int32_t v = a[n] - z_in_ * row_sums_[n];
-      if (has_bias) v += bias_[n];
-      const int q = per_channel_ ? n : 0;
-      v = MultiplyByQuantizedMultiplier(v, mult_[q], shift_[q]);
-      v += z_out_;
-      v = std::clamp(v, act_min_, act_max_);
-      o[n] = static_cast<std::int8_t>(v);
+      const std::int32_t v = MultiplyByQuantizedMultiplier(
+          SaturateInt32(a[n] + offset_[n]), mult_[n], shift_[n]);
+      // The saturating z_out add is subsumed by the clamp: [act_min,
+      // act_max] lies inside the int32 range.
+      o[n] = static_cast<std::int8_t>(std::clamp<std::int64_t>(
+          static_cast<std::int64_t>(v) + z_out_, act_min_, act_max_));
     }
   }
 }
+
+#if defined(__AVX512F__)
+// GCC 12's AVX-512 headers expand most intrinsics through
+// _mm512_undefined_epi32, which trips a false -Wmaybe-uninitialized at
+// every inlined use (GCC PR105593).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+namespace {
+
+// The requantize chain on 8 int64 lanes, each holding one channel's
+// sign-extended accumulator; mirrors ApplyReference step for step.
+struct RequantLanes {
+  __m512i offset, mult, left, right, round;
+
+  RequantLanes(const std::int64_t* block, int half) {
+    const auto field = [&](int f) {
+      return _mm512_loadu_si512(block + f * kSimdLanes + half * 8);
+    };
+    offset = field(kOffset);
+    mult = field(kMult);
+    left = field(kLeft);
+    right = field(kRight);
+    round = field(kRound);
+  }
+
+  __m512i Apply(__m512i x, __m512i i32_min, __m512i i32_max, __m512i half_q31,
+                __m512i z_out, __m512i act_min, __m512i act_max) const {
+    __m512i v = _mm512_add_epi64(x, offset);
+    v = _mm512_min_epi64(_mm512_max_epi64(v, i32_min), i32_max);
+    // Rounding doubling high multiply: (2*v*M + 2^31) >> 32, computed as
+    // (v*M + 2^30) >> 31 (v*M is exact in 64 bits).
+    v = _mm512_srai_epi64(_mm512_add_epi64(_mm512_mul_epi32(v, mult),
+                                           half_q31),
+                          31);
+    v = _mm512_srav_epi64(_mm512_add_epi64(_mm512_sllv_epi64(v, left), round),
+                          right);
+    v = _mm512_min_epi64(_mm512_max_epi64(v, i32_min), i32_max);
+    v = _mm512_add_epi64(v, z_out);
+    return _mm512_min_epi64(_mm512_max_epi64(v, act_min), act_max);
+  }
+};
+
+}  // namespace
+#endif  // __AVX512F__
+
+void Int8RequantTransform::Apply(const std::int32_t* acc, std::int64_t row0,
+                                 std::int64_t nrows, void* out_void) const {
+#if defined(__AVX512F__)
+  const int out_c = out_c_;
+  std::int8_t* out = static_cast<std::int8_t*>(out_void) + row0 * out_c;
+  const __m512i i32_min =
+      _mm512_set1_epi64(std::numeric_limits<std::int32_t>::min());
+  const __m512i i32_max =
+      _mm512_set1_epi64(std::numeric_limits<std::int32_t>::max());
+  const __m512i half_q31 = _mm512_set1_epi64(std::int64_t{1} << 30);
+  const __m512i z_out = _mm512_set1_epi64(z_out_);
+  const __m512i act_min = _mm512_set1_epi64(act_min_);
+  const __m512i act_max = _mm512_set1_epi64(act_max_);
+  // Channel blocks outer so each block's constants load once per tile.
+  for (int c0 = 0; c0 < out_c; c0 += kSimdLanes) {
+    const int cols = std::min(kSimdLanes, out_c - c0);
+    const __mmask16 mask = static_cast<__mmask16>((1u << cols) - 1);
+    const std::int64_t* block =
+        simd_.data() + static_cast<std::int64_t>(c0 / kSimdLanes) *
+                           kSimdFields * kSimdLanes;
+    const RequantLanes even(block, 0), odd(block, 1);
+    for (std::int64_t r = 0; r < nrows; ++r) {
+      const __m512i x = _mm512_maskz_loadu_epi32(mask, acc + r * out_c + c0);
+      // Sign-extend the even / odd i32 lanes into i64 lanes.
+      const __m512i xe = _mm512_srai_epi64(_mm512_slli_epi64(x, 32), 32);
+      const __m512i xo = _mm512_srai_epi64(x, 32);
+      const __m512i ye = even.Apply(xe, i32_min, i32_max, half_q31, z_out,
+                                    act_min, act_max);
+      const __m512i yo = odd.Apply(xo, i32_min, i32_max, half_q31, z_out,
+                                   act_min, act_max);
+      // Both results fit in the low 32 bits of their lane: re-interleave
+      // and narrow to int8 (the values already lie in [act_min, act_max]).
+      const __m512i y = _mm512_mask_blend_epi32(
+          static_cast<__mmask16>(0xAAAA), ye, _mm512_slli_epi64(yo, 32));
+      _mm512_mask_cvtepi32_storeu_epi8(out + r * out_c + c0, mask, y);
+    }
+  }
+#else
+  ApplyReference(acc, row0, nrows, out_void);
+#endif
+}
+#if defined(__AVX512F__) && defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 BiasActivationTransform::BiasActivationTransform(int out_c,
                                                  Activation activation,

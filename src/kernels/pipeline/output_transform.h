@@ -87,10 +87,17 @@ class Int32OutputTransform : public OutputTransform {
   int out_c_;
 };
 
-// out = clamp(z_out + M[c] * (acc - z_in * row_sums[c] + bias[c])), int8.
-// `row_sums` points at the packed weight matrix's per-row sums (input
-// zero-point correction) and must outlive the transform; multiplier/shift
-// hold one entry per channel, or a single broadcast entry (per-tensor).
+// out = clamp(z_out + M[c] * (acc - z_in * row_sums[c] + bias[c])), int8,
+// with saturating arithmetic: the offset sum is exact (int64) and
+// saturates to int32 before the fixed-point multiply, the multiply
+// saturates (MultiplyByQuantizedMultiplier), and the z_out add saturates
+// before the activation clamp -- so an extreme but legal scale, bias or
+// zero point pins the output to the rail its real value lies towards
+// instead of wrapping. `row_sums` points at the packed weight matrix's
+// per-row sums (input zero-point correction); it is read at construction,
+// which folds `bias - z_in * row_sums` into one int64 offset per channel.
+// multiplier/shift hold one entry per channel, or a single broadcast entry
+// (per-tensor).
 class Int8RequantTransform : public OutputTransform {
  public:
   Int8RequantTransform(int out_c, std::int32_t z_in, std::int32_t z_out,
@@ -99,18 +106,42 @@ class Int8RequantTransform : public OutputTransform {
                        std::vector<std::int32_t> multiplier,
                        std::vector<int> shift, std::int32_t act_min,
                        std::int32_t act_max);
+  // 16 channels per AVX-512 step where compiled in; ApplyReference
+  // otherwise. Bit-identical to ApplyReference.
   void Apply(const std::int32_t* acc, std::int64_t row0, std::int64_t nrows,
              void* out) const override;
+  // The scalar loop: the portable path (the scalar int8 tier runs it
+  // through Int8RequantReference) and the oracle the SIMD path is tested
+  // against.
+  void ApplyReference(const std::int32_t* acc, std::int64_t row0,
+                      std::int64_t nrows, void* out) const;
 
  private:
   int out_c_;
-  std::int32_t z_in_, z_out_;
-  const std::int32_t* row_sums_;
-  std::vector<std::int32_t> bias_;
+  std::int32_t z_out_;
+  std::int32_t act_min_, act_max_;
+  // Per channel (a per-tensor multiplier/shift is broadcast).
+  std::vector<std::int64_t> offset_;  // bias[c] - z_in * row_sums[c], exact
   std::vector<std::int32_t> mult_;
   std::vector<int> shift_;
-  bool per_channel_;
-  std::int32_t act_min_, act_max_;
+  // SIMD constants, one block of kSimdFields x 16 int64 lanes per 16
+  // channels, each field split into the 8 even then the 8 odd channels
+  // (the two 64-bit halves the Q31 multiply works on).
+  std::vector<std::int64_t> simd_;
+};
+
+// An Int8RequantTransform pinned to its scalar reference loop: what the
+// scalar int8 tier (scalar-profile contexts, LCE_FORCE_ISA=scalar) runs.
+class Int8RequantReference final : public OutputTransform {
+ public:
+  explicit Int8RequantReference(const Int8RequantTransform& t) : t_(t) {}
+  void Apply(const std::int32_t* acc, std::int64_t row0, std::int64_t nrows,
+             void* out) const override {
+    t_.ApplyReference(acc, row0, nrows, out);
+  }
+
+ private:
+  const Int8RequantTransform& t_;
 };
 
 // Float accumulators (full-precision Conv2D): out = act(acc + bias[c]);

@@ -253,6 +253,7 @@ struct Int8Case {
   Activation act;
   bool per_channel;
   float out_scale;
+  int block_tiles = 64;  // Conv2DInt8Attrs::block_tiles
 };
 
 // Every int8 tier selectable on this machine (gemm/int8_isa.h).
@@ -303,6 +304,7 @@ TEST_P(Int8FusedParity, FusedMatchesLegacy) {
     attrs.weight_scales.resize(c.out_c);
     for (auto& v : attrs.weight_scales) v = rng.Uniform(0.001f, 0.01f);
   }
+  attrs.block_tiles = c.block_tiles;
   Conv2DInt8 fused(w.data(), attrs);
   attrs.force_unfused = true;
   Conv2DInt8 legacy(w.data(), attrs);
@@ -341,7 +343,13 @@ INSTANTIATE_TEST_SUITE_P(
         Int8Case{9, 24, 17, 3, 2, Activation::kRelu, false, 0.02f},
         Int8Case{7, 8, 40, 5, 1, Activation::kRelu6, false, 0.01f},
         Int8Case{8, 16, 24, 3, 1, Activation::kNone, true, 0.002f},
-        Int8Case{6, 32, 8, 1, 1, Activation::kNone, true, 0.05f}));
+        Int8Case{6, 32, 8, 1, 1, Activation::kNone, true, 0.05f},
+        // ResNet-18 stem (7x7 s2, in_c 3) with 14-row blocks: every block
+        // ends in a 6-row tail of the 8-row VNNI register block.
+        Int8Case{224, 3, 64, 7, 2, Activation::kRelu, true, 0.02f, 7},
+        // ResNet-18 1x1 s2 shortcut: 196 rows = one 128-row block plus a
+        // 68-row block (68 % 8 = 4).
+        Int8Case{28, 128, 256, 1, 2, Activation::kNone, true, 0.05f}));
 
 TEST(Int8Fused, TileCountersAdvance) {
   Conv2DGeometry geo;
@@ -377,22 +385,19 @@ TEST(Int8Fused, TileCountersAdvance) {
 // and activations drawn only from {-128, -127, +127}, so a saturating
 // vpmaddubsw pairwise sum (or a bias/rowsum bookkeeping slip) in any tier
 // diverges from the exact widened-dot legacy path. Padding is exercised
-// too (kSameZero with a nonzero input zero point).
-TEST(Int8Fused, ExtremeValueTierParity) {
-  Conv2DGeometry geo;
-  geo.in_h = geo.in_w = 9;
-  geo.in_c = 32;
-  geo.out_c = 24;
-  geo.filter_h = geo.filter_w = 3;
-  geo.padding = Padding::kSameZero;
-
-  Rng rng(31337);
+// too (kSameZero with a nonzero input zero point). `block_tiles` sets the
+// fused block size (row tails of the 8-row VNNI block); `per_channel`
+// draws per-channel weight scales.
+void CheckExtremeValueTierParity(const Conv2DGeometry& geo, int block_tiles,
+                                 bool per_channel, std::uint64_t seed) {
+  Rng rng(seed);
   const std::int8_t extremes[3] = {-128, -127, 127};
-  Tensor in(DataType::kInt8, Shape{1, 9, 9, 32});
+  Tensor in(DataType::kInt8, Shape{1, geo.in_h, geo.in_w, geo.in_c});
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<std::int8_t>()[i] = extremes[rng.Int8(0, 2)];
   }
-  std::vector<std::int8_t> w(static_cast<std::size_t>(24) * 9 * 32);
+  std::vector<std::int8_t> w(static_cast<std::size_t>(geo.out_c) *
+                             geo.filter_h * geo.filter_w * geo.in_c);
   for (auto& v : w) v = extremes[rng.Int8(0, 2)];
 
   Conv2DInt8Attrs attrs;
@@ -400,11 +405,17 @@ TEST(Int8Fused, ExtremeValueTierParity) {
   attrs.input_quant = {0.02f, 3};
   attrs.weight_quant = {0.005f, 0};
   attrs.output_quant = {0.25f, -4};  // keep most outputs off the clamp rails
+  if (per_channel) {
+    attrs.weight_scales.resize(geo.out_c);
+    for (auto& v : attrs.weight_scales) v = rng.Uniform(0.0005f, 0.005f);
+  }
+  attrs.block_tiles = block_tiles;
   Conv2DInt8 fused(w.data(), attrs);
   attrs.force_unfused = true;
   Conv2DInt8 legacy(w.data(), attrs);
 
-  Tensor out_legacy(DataType::kInt8, Shape{1, 9, 9, 24});
+  Tensor out_legacy(DataType::kInt8,
+                    Shape{1, geo.out_h(), geo.out_w(), geo.out_c});
   {
     gemm::Context ctx(1);
     legacy.Run(in, out_legacy, ctx);
@@ -422,6 +433,40 @@ TEST(Int8Fused, ExtremeValueTierParity) {
     }
   }
   gemm::SetInt8TierOverrideForTest(0);
+}
+
+TEST(Int8Fused, ExtremeValueTierParity) {
+  Conv2DGeometry geo;
+  geo.in_h = geo.in_w = 9;
+  geo.in_c = 32;
+  geo.out_c = 24;
+  geo.filter_h = geo.filter_w = 3;
+  geo.padding = Padding::kSameZero;
+  CheckExtremeValueTierParity(geo, /*block_tiles=*/64, /*per_channel=*/false,
+                              31337);
+}
+
+// The same on the ResNet-18 shapes that dominate the int8 benchmark: the
+// stem (224x224x3 -> 64, 7x7 s2; K = 147 is not a multiple of the 4-byte
+// K-group) and a 1x1 s2 shortcut, each with a block size that leaves a
+// row tail of the 8-row VNNI register block (10 and 6 rows).
+TEST(Int8Fused, ExtremeValueTierParityResNet18Shapes) {
+  Conv2DGeometry stem;
+  stem.in_h = stem.in_w = 224;
+  stem.in_c = 3;
+  stem.out_c = 64;
+  stem.filter_h = stem.filter_w = 7;
+  stem.stride_h = stem.stride_w = 2;
+  stem.padding = Padding::kSameZero;
+  CheckExtremeValueTierParity(stem, /*block_tiles=*/5, /*per_channel=*/true,
+                              224);
+  Conv2DGeometry shortcut = stem;
+  shortcut.in_h = shortcut.in_w = 28;
+  shortcut.in_c = 128;
+  shortcut.out_c = 256;
+  shortcut.filter_h = shortcut.filter_w = 1;
+  CheckExtremeValueTierParity(shortcut, /*block_tiles=*/3,
+                              /*per_channel=*/true, 28);
 }
 
 // The conv2d_int8.tier gauge must report the tier that actually ran.

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/bitpack.h"
@@ -52,6 +53,55 @@ TEST(LceQuantize, RowParallelMatchesSerial) {
     EXPECT_EQ(std::memcmp(serial.raw_data(), parallel.raw_data(),
                           words * sizeof(TBitpacked)),
               0);
+  }
+}
+
+// QuantizeInt8 (the QuantizeInt8 op's kernel) against the scalar
+// QuantizeValue it must reproduce bit for bit, on the inputs where a
+// vectorized round/saturate most easily drifts: NaN, +-inf, exact .5
+// ties on both sides of zero, the clamp rails, denormals, and random bit
+// patterns. Counts that are not a multiple of 16 exercise the scalar tail.
+TEST(QuantizeInt8, SimdMatchesQuantizeValue) {
+  std::vector<float> special = {
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      std::numeric_limits<float>::min(),
+      std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::lowest(),
+      0.0f, -0.0f, 0.49999997f, -0.49999997f, 8388607.5f, -8388607.5f,
+      16777216.0f, -16777217.0f};
+  for (int t = -300; t <= 300; ++t) {
+    special.push_back(0.5f * static_cast<float>(t));  // ties and integers
+    special.push_back(std::nextafter(0.5f * static_cast<float>(t), 0.0f));
+  }
+  Rng rng(0x5EED);
+  std::vector<float> random(100003);
+  for (float& v : random) {
+    const auto bits = static_cast<std::uint32_t>(rng.Next());
+    std::memcpy(&v, &bits, sizeof(v));
+  }
+  const QuantParams params[] = {
+      {1.0f, 0},    {0.5f, 3},   {0.02f, -128}, {0.1f, 127},
+      {3.0f, -7},   {1e-30f, 0}, {1e30f, 5},
+      {std::numeric_limits<float>::denorm_min(), -1}};
+  for (const std::vector<float>* in : {&special, &random}) {
+    for (const QuantParams& q : params) {
+      std::vector<std::int8_t> ref(in->size()), simd(in->size());
+      QuantizeInt8Reference(in->data(), static_cast<std::int64_t>(in->size()),
+                            q, ref.data());
+      QuantizeInt8(in->data(), static_cast<std::int64_t>(in->size()), q,
+                   /*simd=*/true, simd.data());
+      for (std::size_t i = 0; i < in->size(); ++i) {
+        ASSERT_EQ(ref[i], QuantizeValue((*in)[i], q));
+        ASSERT_EQ(simd[i], ref[i])
+            << "v=" << (*in)[i] << " scale=" << q.scale
+            << " zero_point=" << q.zero_point << " i=" << i;
+      }
+    }
   }
 }
 

@@ -151,6 +151,25 @@ TEST(Int8DotBlock, ExtremeValuesNoSaturation) {
   for (Int8Tier tier : DotBlockTiers()) CheckDotBlock(lhs, rhs, m, n, k, tier);
 }
 
+TEST(Int8DotBlock, RegisterBlockRowTailsAndPanelCounts) {
+  // Every row count 1..17 (the 8-row VNNI register block, its 1..7-row
+  // tails, and two blocks plus a tail) against panel counts 1..3 and 9,
+  // with partial last panels: odd counts run the single-panel block.
+  Rng rng(808);
+  for (const int n : {16, 17, 32, 40, 48, 130}) {
+    for (int m = 1; m <= 17; ++m) {
+      const int k = 37;
+      std::vector<std::int8_t> lhs(static_cast<std::size_t>(m) * k);
+      std::vector<std::int8_t> rhs(static_cast<std::size_t>(n) * k);
+      for (auto& v : lhs) v = rng.Int8(-128, 127);
+      for (auto& v : rhs) v = rng.Int8(-128, 127);
+      for (Int8Tier tier : DotBlockTiers()) {
+        CheckDotBlock(lhs, rhs, m, n, k, tier);
+      }
+    }
+  }
+}
+
 TEST(Int8DotBlock, AdversarialSignPatterns) {
   // Random +-127 / -128-only values: every 4-byte group sits at the edge
   // of the biased-u8 product range, so any off-by-one in the +128 bias or
