@@ -106,12 +106,14 @@ int main(int argc, char** argv) {
     int hw, ch, k;
   };
   // The four QuickNet-S binary 3x3 stages (sections at 56/28/14/7 spatial
-  // with 32/64/256/512 filters), plus two 1x1 shapes showing the pointwise
-  // fast path is mode-independent.
+  // with 32/64/256/512 filters), QuickNet-L's two widest-image 3x3 stages
+  // (56x56x64, 28x28x128: its costliest bconv nodes), plus two 1x1 shapes
+  // showing the pointwise fast path is mode-independent.
   double log_speedup_3x3 = 0.0;
   int n_3x3 = 0;
   for (const Case& c : {Case{56, 32, 3}, Case{28, 64, 3}, Case{14, 256, 3},
-                        Case{7, 512, 3}, Case{28, 64, 1}, Case{14, 256, 1}}) {
+                        Case{7, 512, 3}, Case{56, 64, 3}, Case{28, 128, 3},
+                        Case{28, 64, 1}, Case{14, 256, 1}}) {
     const auto lat = BConvModeLatencies(c.hw, c.ch, c.k, ctx);
     const double im2col = lat[static_cast<int>(ExecMode::kIm2Col)];
     const double indirect = lat[static_cast<int>(ExecMode::kIndirectUnfused)];

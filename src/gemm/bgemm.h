@@ -9,16 +9,27 @@
 // the popcount, and using the logical k_bits cancels their +1 products
 // exactly; no separate correction is needed.
 //
-// The implementation follows the Ruy-style structure described in the paper:
-// both operands are packed into register-tile-friendly panels, the inner
-// micro-kernel keeps a 4x4 tile of int32 accumulators, and work is sharded
-// across threads over LHS row tiles. On x86 the `kSimd` profile uses an AVX2
-// nibble-LUT popcount kernel (standing in for the paper's hand-tuned NEON
-// eor/cnt/addp sequence); `kScalar` uses portable 64-bit hardware popcounts.
+// Layout (channel-vectorized, Ruy-style packed weights):
+//   * The weights (RHS) are packed once, at op-preparation time, into panels
+//     of kBgemmNr = 8 output channels x one 64-bit K word:
+//     [panel][kw64][8] uint64. One panel K step is one 512-bit line whose
+//     u64 lanes are the eight channels.
+//   * The activations (LHS) are plain row-major rows of 32-bit bitpacked
+//     words with a leading dimension -- im2col patches, a pointwise input or
+//     gathered rows are consumed in place. The kernels read word pairs as
+//     u64 K words and an odd tail word zero-extended, so K is padded by at
+//     most one 32-bit word (in the packed weights only).
+//
+// The AVX-512 micro-kernel is a 6-row x 4-panel register block (24 zmm
+// accumulators): per K word it loads 4 panel lines, broadcasts each row's
+// word and accumulates vpopcntq(a ^ b) per u64 lane. Every lane is one
+// output channel, so no tier (BGemmTier) has a horizontal reduction: the
+// epilogue stores k_bits - 2 * acc straight into the int32 output.
 #ifndef LCE_GEMM_BGEMM_H_
 #define LCE_GEMM_BGEMM_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/aligned_buffer.h"
 #include "core/types.h"
@@ -26,12 +37,28 @@
 
 namespace lce::gemm {
 
-// Micro-tile sizes of the BGEMM kernel. K is processed in 512-bit blocks:
-// one full zmm register on AVX-512, two ymm halves on AVX2, four NEON
-// q-registers on ARM.
+// Row-tile height of the binary convolution pipelines (their TilePlan
+// granularity; the kernels take any row count) and output channels per
+// packed weight panel.
 inline constexpr int kBgemmMr = 4;
-inline constexpr int kBgemmNr = 4;
-inline constexpr int kBgemmKWords64 = 8;  // 8 x uint64 = 512 bits per k-block
+inline constexpr int kBgemmNr = 8;
+
+// BGEMM micro-kernel tiers. Every tier compiled into the binary is
+// runnable (tiers are compiled only when the build's target ISA has them).
+enum class BGemmTier {
+  kScalar,  // portable 64-bit popcount loop
+  kAvx2,    // pshufb nibble-LUT popcount + psadbw, one count per u64 lane
+  kAvx512,  // vpopcntq on zmm, 6 x 4-panel register block
+  kNeon,    // eor / cnt / pairwise-add-accumulate
+};
+
+// Tiers compiled into this binary, scalar first.
+std::vector<BGemmTier> CompiledBGemmTiers();
+// The fastest compiled tier (what kSimd contexts run).
+BGemmTier BestBGemmTier();
+// The tier a context profile runs: BestBGemmTier() for kSimd, kScalar for
+// the portable profile.
+BGemmTier BGemmTierFor(KernelProfile profile);
 
 // A weights-side matrix packed once at op-preparation time (the paper's
 // "weight packing to optimize memory access patterns").
@@ -43,15 +70,15 @@ class PackedBinaryMatrix {
   PackedBinaryMatrix(const TBitpacked* rows, int n, int kw);
 
   int n() const { return n_; }
-  int kw() const { return kw_; }
-  int k_blocks() const { return k_blocks_; }
-  int num_tiles() const { return num_tiles_; }
-  // Packed data for tile t: [k_blocks][NR][8] uint64.
-  const std::uint64_t* tile(int t) const {
-    return data() + static_cast<std::int64_t>(t) * tile_elems();
+  int kw() const { return kw_; }  // 32-bit words per row
+  int num_panels() const { return num_panels_; }
+  // Panel p: [kw64][kBgemmNr] uint64, kw64 = ceil(kw / 2). Channels past
+  // n() and the high half of an odd tail word are zero.
+  const std::uint64_t* panel(int p) const {
+    return data() + static_cast<std::int64_t>(p) * panel_elems();
   }
-  std::int64_t tile_elems() const {
-    return static_cast<std::int64_t>(k_blocks_) * kBgemmNr * kBgemmKWords64;
+  std::int64_t panel_elems() const {
+    return static_cast<std::int64_t>(kw_ + 1) / 2 * kBgemmNr;
   }
 
  private:
@@ -60,92 +87,25 @@ class PackedBinaryMatrix {
   }
   int n_ = 0;
   int kw_ = 0;
-  int k_blocks_ = 0;
-  int num_tiles_ = 0;
+  int num_panels_ = 0;
   AlignedBuffer buf_;
 };
 
-// Number of 512-bit k-blocks covering `kw` bitpacked 32-bit words.
-inline int BGemmKBlocks(int kw) {
-  const int words_per_block = kBgemmKWords64 * 2;  // 16 x uint32
-  return (kw + words_per_block - 1) / words_per_block;
-}
-
-// Elements (uint64) of an A-panel holding `tile_rows` rows over `k_blocks`.
-inline std::int64_t BGemmApanelElems(int k_blocks, int tile_rows) {
-  return static_cast<std::int64_t>(k_blocks) * tile_rows * kBgemmKWords64;
-}
-
-// Packs one contiguous bitpacked row of `kw` words into panel row `r` of a
-// [k_blocks][tile_rows][8]-uint64 panel. Destination-major: every u64 of the
-// row is written exactly once (including zeroed k-padding), so the panel
-// needs no prior clearing. This is the hot inner step of both LHS packing
-// and the fused gather-pack.
-inline void BGemmPackLhsRow(const TBitpacked* s, int kw, int k_blocks, int r,
-                            int tile_rows, std::uint64_t* dst) {
-  std::uint64_t* d = dst + static_cast<std::int64_t>(r) * kBgemmKWords64;
-  const std::int64_t kb_stride =
-      static_cast<std::int64_t>(tile_rows) * kBgemmKWords64;
-  constexpr int kBlockWords = kBgemmKWords64 * 2;  // 32-bit words per block
-  const int full = kw / kBlockWords;  // k-blocks fully covered by the row
-  int w = 0;
-  for (int kb = 0; kb < full; ++kb, d += kb_stride, w += kBlockWords) {
-    for (int i = 0; i < kBgemmKWords64; ++i) {
-      d[i] = static_cast<std::uint64_t>(s[w + 2 * i]) |
-             static_cast<std::uint64_t>(s[w + 2 * i + 1]) << 32;
-    }
-  }
-  for (int kb = full; kb < k_blocks; ++kb, d += kb_stride) {
-    std::uint64_t tmp[kBgemmKWords64] = {};
-    for (int i = 0; w < kw && i < kBlockWords; ++i, ++w) {
-      tmp[i / 2] |= static_cast<std::uint64_t>(s[w]) << ((i % 2) * 32);
-    }
-    for (int i = 0; i < kBgemmKWords64; ++i) d[i] = tmp[i];
-  }
-}
-
-// Zero-fills panel row `r` (for tile rows past the end of the matrix).
-inline void BGemmZeroLhsRow(int k_blocks, int r, int tile_rows,
-                            std::uint64_t* dst) {
-  std::uint64_t* d = dst + static_cast<std::int64_t>(r) * kBgemmKWords64;
-  const std::int64_t kb_stride =
-      static_cast<std::int64_t>(tile_rows) * kBgemmKWords64;
-  for (int kb = 0; kb < k_blocks; ++kb, d += kb_stride) {
-    for (int i = 0; i < kBgemmKWords64; ++i) d[i] = 0;
-  }
-}
-
-// Packs `tile_rows` rows (starting at `row0`, zero-padded beyond `n`) of a
-// [n][kw] bitpacked matrix into the [k_blocks][tile_rows][8]-uint64 panel
-// layout consumed by the micro-kernels. Zero padding encodes +1 values, but
-// padded k-words are 0 in both operands so they never affect the popcount.
-void BGemmPackLhsTile(const TBitpacked* src, int n, int kw, int row0,
-                      int tile_rows, int k_blocks, std::uint64_t* dst);
-
-// One micro-kernel invocation: a kBgemmMr x kBgemmNr tile of XOR-popcount
-// accumulators over `k_blocks` panel steps, dispatched to the best kernel
-// for `profile` (AVX-512 / AVX2 / NEON / scalar). Shared by the packed
-// BGEMM below and the fused indirect path (gemm/indirect_bgemm.h).
-void BGemmComputeTile(const std::uint64_t* apanel, const std::uint64_t* bpanel,
-                      int k_blocks, KernelProfile profile,
-                      std::int32_t acc[kBgemmMr][kBgemmNr]);
-
-// Computes `block_rows` x rhs.n() outputs from `block_tiles` consecutive
-// packed A-panels (each `a_elems` uint64 long, starting at `apanels`)
-// against every weight tile of `rhs`, writing k_bits - 2 * popcount into
-// `out` (row-major, leading dimension `ldc` >= rhs.n(); grouped
-// convolutions write each group's columns into a wider accumulator). Loop
-// order is nt-outer / tile-inner so each packed weight tile stays
-// cache-resident across the whole block -- the compute core of both the
-// unfused BGemm and the fused ConvPipeline. Defined in bgemm.cc so the
-// micro-kernels inline into the loop.
-void BGemmComputeBlock(const std::uint64_t* apanels, std::int64_t a_elems,
+// Computes `rows` x rhs.n() outputs: out[i][j] = k_bits - 2 *
+// popcount(lhs_i ^ rhs_j), for LHS rows of rhs.kw() words starting every
+// `lda` words at `lhs`. `out` is row-major with leading dimension
+// `ldc` >= rhs.n() (grouped convolutions write each group's columns into a
+// wider accumulator); columns past rhs.n() are never written. Loop order is
+// panel-group-outer / row-block-inner, so each 32-channel weight strip
+// stays cache-resident across all rows. Single-threaded: the compute core
+// of both the standalone BGemm and the fused ConvPipeline.
+void BGemmComputeBlock(const TBitpacked* lhs, int lda,
                        const PackedBinaryMatrix& rhs, int k_bits,
-                       KernelProfile profile, int block_tiles, int block_rows,
-                       std::int32_t* out, int ldc);
+                       BGemmTier tier, int rows, std::int32_t* out, int ldc);
 
-// out[i][j] = k_bits - 2*popcount(lhs_i ^ rhs_j); out is row-major MxN with
-// leading dimension ldc. LHS is packed into context scratch per call.
+// out[i][j] = k_bits - 2*popcount(lhs_i ^ rhs_j); lhs is [m][rhs.kw()]
+// row-major, out is row-major MxN with leading dimension ldc. Rows are
+// sharded across the context's pool.
 void BGemm(const TBitpacked* lhs, int m, const PackedBinaryMatrix& rhs,
            int k_bits, std::int32_t* out, int ldc, Context& ctx);
 
@@ -153,7 +113,7 @@ void BGemm(const TBitpacked* lhs, int m, const PackedBinaryMatrix& rhs,
 void BGemm(const TBitpacked* lhs, int m, const TBitpacked* rhs, int n, int kw,
            int k_bits, std::int32_t* out, int ldc, Context& ctx);
 
-// True when the binary was compiled with the AVX2 kernel available.
+// True when the binary was compiled with a vectorized BGEMM tier.
 bool HasSimdBGemm();
 
 }  // namespace lce::gemm

@@ -207,93 +207,64 @@ void BConv2D::ApplyZeroPaddingCorrectionRows(std::int32_t* acc,
   }
 }
 
-// TileCompute policy of the binary convolution: pack BGEMM A-panels (from
-// contiguous patches, by gathering through the indirection cache, or by
-// per-group sliced gathering) and run the XOR-popcount block kernel.
+// TileCompute policy of the binary convolution: run the XOR-popcount block
+// kernel on row-major patch rows -- contiguous ones (im2col output or a
+// pointwise input) in place, or rows gathered through the indirection cache
+// into shard scratch, one word slice per group.
 class BConvTileCompute final : public pipeline::TileCompute {
  public:
-  enum class Mode {
-    kPatches,        // contiguous patch rows (im2col output or pointwise input)
-    kGather,         // indirect gather, groups == 1
-    kGatherGrouped,  // per-group sliced gather, one GEMM per group
-  };
-
-  BConvTileCompute(const BConv2D& op, Mode mode, const TBitpacked* input,
-                   const TBitpacked* patches, std::int64_t rows,
-                   int patch_words)
+  // `patches` null selects the gather.
+  BConvTileCompute(const BConv2D& op, const TBitpacked* input,
+                   const TBitpacked* patches)
       : op_(op),
-        mode_(mode),
         input_(input),
         patches_(patches),
-        rows_(rows),
-        patch_words_(patch_words),
-        k_blocks_(op.weights_->groups[0].k_blocks()),
-        a_elems_(gemm::BGemmApanelElems(k_blocks_, gemm::kBgemmMr)) {}
+        lda_(op.weights_->groups[0].kw()) {}
 
   std::size_t ShardScratchBytes(int block_tiles) const override {
-    return static_cast<std::size_t>(a_elems_) * block_tiles *
-           sizeof(std::uint64_t);
+    if (patches_ != nullptr) return 0;
+    return static_cast<std::size_t>(block_tiles) * gemm::kBgemmMr * lda_ *
+           sizeof(TBitpacked);
   }
 
   void ComputeBlock(std::int64_t tile0, int block_tiles, std::int64_t row0,
                     int block_rows, const pipeline::TilePlan& plan,
                     gemm::KernelProfile profile, std::uint8_t* scratch,
                     std::int32_t* acc) const override {
-    auto* apanels = reinterpret_cast<std::uint64_t*>(scratch);
+    const gemm::BGemmTier tier = gemm::BGemmTierFor(profile);
+    const auto& groups = op_.weights_->groups;
     const int out_c = op_.attrs_.geo.out_c;
-
-    if (mode_ == Mode::kGatherGrouped) {
-      // One sliced gather + GEMM per group; each group's columns land in
-      // their slice of the shared block accumulator (ldc = out_c), so the
-      // correction and transform downstream see one plain dense block.
-      const int groups = op_.attrs_.groups;
-      const int out_c_pg = out_c / groups;
-      const int group_words = static_cast<int>(op_.zero_row_.size());
-      for (int grp = 0; grp < groups; ++grp) {
-        for (int i = 0; i < block_tiles; ++i) {
-          pipeline::GatherPackBitpackedGroup(
-              input_, op_.indirection_, op_.zero_row_.data(),
-              grp * group_words, group_words,
-              row0 + static_cast<std::int64_t>(i) * gemm::kBgemmMr,
-              gemm::kBgemmMr, k_blocks_, plan.interior(tile0 + i),
-              apanels + static_cast<std::int64_t>(i) * a_elems_);
-        }
-        gemm::BGemmComputeBlock(apanels, a_elems_, op_.weights_->groups[grp],
-                                op_.k_bits_, profile, block_tiles, block_rows,
-                                acc + grp * out_c_pg, out_c);
-      }
+    if (patches_ != nullptr) {
+      gemm::BGemmComputeBlock(patches_ + row0 * lda_, lda_, groups[0],
+                              op_.k_bits_, tier, block_rows, acc, out_c);
       return;
     }
-
-    for (int i = 0; i < block_tiles; ++i) {
-      std::uint64_t* panel = apanels + static_cast<std::int64_t>(i) * a_elems_;
-      const std::int64_t tile_row0 =
-          row0 + static_cast<std::int64_t>(i) * gemm::kBgemmMr;
-      if (mode_ == Mode::kGather) {
-        pipeline::GatherPackBitpacked(input_, op_.indirection_,
-                                      op_.zero_row_.data(), tile_row0,
-                                      gemm::kBgemmMr, k_blocks_,
-                                      plan.interior(tile0 + i), panel);
-      } else {
-        gemm::BGemmPackLhsTile(patches_, static_cast<int>(rows_), patch_words_,
-                               static_cast<int>(tile_row0), gemm::kBgemmMr,
-                               k_blocks_, panel);
+    // One sliced gather + GEMM per group; each group's columns land in
+    // their slice of the shared block accumulator (ldc = out_c), so the
+    // correction and transform downstream see one plain dense block.
+    auto* rows = reinterpret_cast<TBitpacked*>(scratch);
+    const int out_c_pg = out_c / static_cast<int>(groups.size());
+    const int group_words = static_cast<int>(op_.zero_row_.size());
+    for (std::size_t grp = 0; grp < groups.size(); ++grp) {
+      for (int i = 0; i < block_tiles; ++i) {
+        pipeline::GatherPackBitpacked(
+            input_, op_.indirection_, op_.zero_row_.data(),
+            static_cast<int>(grp) * group_words, group_words,
+            row0 + static_cast<std::int64_t>(i) * gemm::kBgemmMr,
+            gemm::kBgemmMr, plan.interior(tile0 + i),
+            rows + static_cast<std::int64_t>(i) * gemm::kBgemmMr * lda_);
       }
+      gemm::BGemmComputeBlock(rows, lda_, groups[grp], op_.k_bits_, tier,
+                              block_rows,
+                              acc + static_cast<int>(grp) * out_c_pg, out_c);
     }
-    gemm::BGemmComputeBlock(apanels, a_elems_, op_.weights_->groups[0],
-                            op_.k_bits_, profile, block_tiles, block_rows, acc,
-                            out_c);
   }
 
  private:
   const BConv2D& op_;
-  Mode mode_;
   const TBitpacked* input_;
   const TBitpacked* patches_;
-  std::int64_t rows_;
-  int patch_words_;
-  int k_blocks_;
-  std::int64_t a_elems_;
+  int lda_;  // words per patch row: one group's K
 };
 
 // RowCorrector policy: zero-padding fixup, invoked by the engine only for
@@ -337,7 +308,7 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
 
   // Fused row-tile pipeline for every configuration, grouped included. The
   // only full-image stage left is the im2col copy of the non-indirect
-  // ungrouped variant; everything downstream (pack, BGEMM, zero-padding
+  // ungrouped variant; everything downstream (gather, BGEMM, zero-padding
   // correction, output transform) runs per row tile inside the shared
   // engine, so no full-image accumulator is ever allocated.
   const int groups = std::max(1, attrs_.groups);
@@ -349,17 +320,14 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
 
   std::uint64_t t0 = 0;
   if (timed) t0 = NowNanos();
-  BConvTileCompute::Mode mode = BConvTileCompute::Mode::kPatches;
+  // Patch rows feed the kernel in place: a 1x1 stride-1 convolution's
+  // im2col is the identity, so its bitpacked input is used directly; the
+  // non-indirect variant materializes im2col once. Everything else
+  // (grouped, indirect) gathers per row tile.
   const TBitpacked* patches = nullptr;
-  if (groups > 1) {
-    mode = BConvTileCompute::Mode::kGatherGrouped;
-  } else if (pointwise) {
-    // A 1x1 stride-1 convolution's im2col is the identity, so the bitpacked
-    // input feeds the tile packer directly (no patch materialization).
+  if (groups == 1 && pointwise) {
     patches = input.data<TBitpacked>();
-  } else if (attrs_.use_indirect_bgemm) {
-    mode = BConvTileCompute::Mode::kGather;
-  } else {
+  } else if (groups == 1 && !attrs_.use_indirect_bgemm) {
     const std::size_t patch_bytes =
         static_cast<std::size_t>(rows) * patch_words * sizeof(TBitpacked);
     auto* scratch = reinterpret_cast<TBitpacked*>(ctx.Scratch(1, patch_bytes));
@@ -375,8 +343,7 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
       telemetry::MetricsRegistry::Global().Counter("bgemm.binary_macs");
   macs->Add(rows * (g.out_c / groups) * k_bits_ * groups);
 
-  const BConvTileCompute compute(*this, mode, input.data<TBitpacked>(),
-                                 patches, rows, patch_words);
+  const BConvTileCompute compute(*this, input.data<TBitpacked>(), patches);
   const BConvZeroPadCorrector corrector(*this);
 
   pipeline::ConvPipelineArgs args;

@@ -105,7 +105,7 @@ class BConv2D {
   // input: bitpacked NHWC [batch, in_h, in_w, in_c(packed)].
   // output: dtype matching attrs.output_type, shape [batch, oh, ow, out_c].
   // scratch usage: context slot 1 (im2col patches; untouched on the
-  // indirect/grouped paths) and slot 2 (fused path: per-shard A-panel +
+  // indirect/grouped paths) and slot 2 (fused path: per-shard gathered rows +
   // row-tile accumulator; legacy path: full-image accumulator).
   void Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
            BConvStageTimes* times = nullptr) const;

@@ -1,23 +1,24 @@
-// Gather/pack strategies of the ConvPipeline (policy seam #1): pack a
-// micro-kernel A-panel straight from the feature map through the
+// Gather/pack strategies of the ConvPipeline (policy seam #1): build a
+// micro-kernel's A operand straight from the feature map through the
 // prepare-time int32 indirection cache (gemm/indirect_bgemm.h), without
 // materializing im2col patches.
 //
 // Four strategies, one per consumer family:
-//   * GatherPackBitpacked       — word gather into BGEMM A-panels (BConv2D).
-//   * GatherPackBitpackedGroup  — per-group sliced view of the same input:
-//     gathers `word_count` words starting at word slice `word_begin` of each
-//     pixel's channel vector (grouped BConv2D; group boundaries fall on
-//     word boundaries by construction).
-//   * GatherPackInt8            — byte gather into int8-GEMM A-panels with
+//   * GatherPackBitpacked  — word gather into plain row-major BGEMM rows
+//     (BConv2D): each row is its taps' channel words back to back, exactly
+//     an im2col patch row, which the BGEMM kernels read in place. A word
+//     slice per pixel (`word_begin`, `word_count`) serves grouped BConv2D;
+//     group boundaries fall on word boundaries by construction.
+//   * GatherPackInt8       — byte gather into int8-GEMM A-panels with
 //     the maddubs +128 bias applied during packing (Conv2DInt8); padded
 //     taps read the input zero point, exactly like the legacy im2col.
-//   * GatherPackFloat           — float gather into float-GEMM A-panels
+//   * GatherStageInt8Dot   — raw int8 patch rows for the dot-product tiers.
+//   * GatherPackFloat      — float gather into float-GEMM A-panels
 //     (full-precision Conv2D); padded taps read the padding value.
 //
-// All four take an `interior` flag from the shared TilePlan: interior
-// tiles have no padded taps, so the gather skips the kPaddedTap sentinel
-// check (or, for the float gather, the bounds check) entirely.
+// All take an `interior` flag from the shared TilePlan: interior tiles
+// have no padded taps, so the gather skips the kPaddedTap sentinel check
+// (or, for the float gather, the bounds check) entirely.
 #ifndef LCE_KERNELS_PIPELINE_GATHER_PACK_H_
 #define LCE_KERNELS_PIPELINE_GATHER_PACK_H_
 
@@ -29,29 +30,21 @@
 
 namespace lce::pipeline {
 
-// Packs `tile_rows` patch rows starting at output position `row0` into the
-// BGEMM A-panel layout ([k_blocks][tile_rows][8] uint64; gemm/bgemm.h).
-// Equivalent to bitpacked im2col of those rows followed by BGemmPackLhsTile,
-// without materializing the patches. Padded taps read from `zero_row`
-// (words(in_c) zero words = +1.0 one-padding); rows beyond ind.rows() are
-// left zero (never written back by the caller). With `interior` set the
-// padded-tap sentinel check is skipped (caller guarantees no padded taps,
-// see pipeline/tile_plan.h).
+// Writes the patch rows of output positions [row0, row0 + tile_rows) to
+// `dst`, row-major with leading dimension ind.taps() * word_count words:
+// for each tap, `word_count` words starting at word `word_begin` of the
+// tap pixel's ind.words()-word channel vector (the whole vector for an
+// ungrouped convolution, one group's slice otherwise). The result equals
+// the (sliced) bitpacked im2col rows, so gemm::BGemmComputeBlock consumes
+// it directly. Padded taps read `zero_row` (at least `word_count` zero
+// words = +1.0 one-padding). Rows past ind.rows() are not written. With
+// `interior` set the padded-tap sentinel check is skipped (caller
+// guarantees no padded taps, see pipeline/tile_plan.h).
 void GatherPackBitpacked(const TBitpacked* input,
                          const gemm::IndirectionOffsets& ind,
-                         const TBitpacked* zero_row, std::int64_t row0,
-                         int tile_rows, int k_blocks, bool interior,
-                         std::uint64_t* dst);
-
-// Grouped variant: gathers only `word_count` words starting at `word_begin`
-// of each pixel's ind.words()-word channel vector. `zero_row` must hold at
-// least `word_count` zero words. The logical patch row is
-// taps * word_count words long (one group's K).
-void GatherPackBitpackedGroup(const TBitpacked* input,
-                              const gemm::IndirectionOffsets& ind,
-                              const TBitpacked* zero_row, int word_begin,
-                              int word_count, std::int64_t row0, int tile_rows,
-                              int k_blocks, bool interior, std::uint64_t* dst);
+                         const TBitpacked* zero_row, int word_begin,
+                         int word_count, std::int64_t row0, int tile_rows,
+                         bool interior, TBitpacked* dst);
 
 // Int8 byte gather: `ind` must have been built with elems_per_pixel = in_c
 // (byte offsets). Gathers `tile_rows` patch rows of taps*in_c bytes into

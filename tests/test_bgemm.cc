@@ -1,8 +1,12 @@
 // BGEMM tests: the packed XOR-POPCOUNT kernel against the reference dot
-// product, SIMD vs scalar profile agreement, edge tiles, multithreading and
-// the baseline (DaBNN/TVM/BMXNet-style) kernels.
+// product, every compiled micro-kernel tier bit-exact against a scalar
+// k_bits - 2 * popcount, SIMD vs scalar profile agreement, edge tiles,
+// multithreading and the baseline (DaBNN/TVM/BMXNet-style) kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -71,6 +75,93 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(33, 65, 288), std::make_tuple(2, 130, 31),
                       std::make_tuple(100, 8, 1024),
                       std::make_tuple(13, 13, 4608)));
+
+// Every compiled tier through the block entry point, against a direct
+// k_bits - 2 * popcount(lhs ^ rhs) over the 32-bit words: K around and
+// across 64-bit word boundaries (odd and even word counts), out_c around
+// the 8-channel panel and 4-panel block widths, every row count up to one
+// past the widest (6-row) register block, ldc > n, and rows sharded over 1
+// and 4 threads sharing one packed matrix.
+TEST(BGemm, EveryTierMatchesScalarPopcount) {
+  const std::vector<BGemmTier> tiers = CompiledBGemmTiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front(), BGemmTier::kScalar);
+  EXPECT_EQ(tiers.back(), BestBGemmTier());
+  constexpr int kMaxRows = 7;
+  ThreadPool pool1(1), pool4(4);
+  for (const int k_bits : {32, 96, 288, 576, 4640}) {
+    const int kw = BitpackedWords(k_bits);
+    for (const int n : {1, 7, 8, 9, 33, 64}) {
+      const int m = 4 * kMaxRows;  // four shards of up to kMaxRows rows
+      const BinaryProblem p = MakeProblem(m, n, k_bits, k_bits * 7 + n);
+      std::vector<std::int32_t> want(static_cast<std::size_t>(m) * n);
+      for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < n; ++j) {
+          int pop = 0;
+          for (int w = 0; w < kw; ++w) {
+            pop += std::popcount(p.lhs[static_cast<std::size_t>(i) * kw + w] ^
+                                 p.rhs[static_cast<std::size_t>(j) * kw + w]);
+          }
+          want[static_cast<std::size_t>(i) * n + j] = k_bits - 2 * pop;
+        }
+      }
+      ASSERT_EQ(want, p.expected);
+      const PackedBinaryMatrix packed(p.rhs.data(), n, kw);
+      const int ldc = n + 3;
+      for (const BGemmTier tier : tiers) {
+        for (ThreadPool* pool : {&pool1, &pool4}) {
+          const int threads = pool->num_threads();
+          for (int rows = 1; rows <= kMaxRows; ++rows) {
+            // Shard s computes rows [s * kMaxRows, s * kMaxRows + rows).
+            std::vector<std::int32_t> out(static_cast<std::size_t>(m) * ldc,
+                                          -777);
+            pool->ParallelFor(4, [&](std::int64_t b, std::int64_t e) {
+              for (std::int64_t s = b; s < e; ++s) {
+                const std::int64_t r0 = s * kMaxRows;
+                BGemmComputeBlock(p.lhs.data() + r0 * kw, kw, packed, k_bits,
+                                  tier, rows, out.data() + r0 * ldc, ldc);
+              }
+            });
+            for (int i = 0; i < m; ++i) {
+              const bool computed = i % kMaxRows < rows;
+              for (int j = 0; j < ldc; ++j) {
+                const std::int32_t expect =
+                    computed && j < n
+                        ? want[static_cast<std::size_t>(i) * n + j]
+                        : -777;
+                ASSERT_EQ(out[static_cast<std::size_t>(i) * ldc + j], expect)
+                    << "tier " << static_cast<int>(tier)
+                    << " k_bits=" << k_bits
+                    << " n=" << n << " rows=" << rows << " threads="
+                    << threads << " at (" << i << ", " << j << ")";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BGemm, TiersReadRowsInPlaceWithLeadingDimension) {
+  // LHS rows with lda > kw (a patch row inside a wider buffer): only the
+  // first kw words of each row may be read.
+  const int k_bits = 96, kw = 3, lda = 5, m = 9, n = 12;
+  const BinaryProblem p = MakeProblem(m, n, k_bits, 99);
+  std::vector<TBitpacked> wide(static_cast<std::size_t>(m) * lda,
+                               0xffffffffu);
+  for (int i = 0; i < m; ++i) {
+    std::copy_n(p.lhs.data() + static_cast<std::size_t>(i) * kw, kw,
+                wide.data() + static_cast<std::size_t>(i) * lda);
+  }
+  const PackedBinaryMatrix packed(p.rhs.data(), n, kw);
+  for (const BGemmTier tier : CompiledBGemmTiers()) {
+    std::vector<std::int32_t> out(static_cast<std::size_t>(m) * n);
+    BGemmComputeBlock(wide.data(), lda, packed, k_bits, tier, m, out.data(),
+                      n);
+    EXPECT_EQ(out, p.expected) << "tier " << static_cast<int>(tier);
+  }
+}
 
 TEST(BGemm, ScalarAndSimdProfilesAgree) {
   const BinaryProblem p = MakeProblem(37, 29, 576, 42);

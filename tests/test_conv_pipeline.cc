@@ -1,10 +1,12 @@
 // Unit tests for the shared ConvPipeline building blocks: the
 // interior/border TilePlan and the gather-pack strategies
 // (kernels/pipeline/). Each gather strategy is checked against the
-// composition it replaces -- im2col (full, sliced, or int8) followed by the
-// corresponding LHS tile packer -- which must produce bit-identical panels.
+// composition it replaces: the bitpacked gathers against im2col rows (full
+// or sliced), which they must reproduce word for word, and the int8 gather
+// against im2col followed by the int8 LHS tile packer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -100,8 +102,22 @@ TEST(TilePlan, ValidPaddingIsAllInterior) {
   EXPECT_TRUE(plan.AllInterior(0, plan.num_tiles()));
 }
 
-// Packs every tile of the geometry twice -- gather vs im2col+pack -- and
-// compares the panels word for word.
+// Compares the gathered rows of one tile against the im2col rows they
+// replace, word for word. Rows past the end of the image are not gathered
+// and not compared.
+void ExpectTileMatches(const std::vector<TBitpacked>& got,
+                       const std::vector<TBitpacked>& patches,
+                       std::int64_t rows, int kw, std::int64_t row0,
+                       const char* what, std::int64_t t) {
+  const std::int64_t n = std::min<std::int64_t>(gemm::kBgemmMr, rows - row0);
+  ASSERT_EQ(std::memcmp(got.data(), patches.data() + row0 * kw,
+                        static_cast<std::size_t>(n) * kw * sizeof(TBitpacked)),
+            0)
+      << what << ", tile " << t;
+}
+
+// Gathers every tile of the geometry and compares it with the im2col rows,
+// through both the checked and (on interior tiles) the sentinel-free path.
 void CheckGatherMatchesIm2Col(const Conv2DGeometry& g) {
   Rng rng(g.in_h * 31 + g.filter_h * 7 + g.in_c);
   Tensor in_f(DataType::kFloat32, Shape{g.batch, g.in_h, g.in_w, g.in_c});
@@ -116,72 +132,83 @@ void CheckGatherMatchesIm2Col(const Conv2DGeometry& g) {
   Im2ColBitpacked(in_b.data<TBitpacked>(), g, patches.data());
 
   const gemm::IndirectionOffsets ind(g);
-  std::vector<TBitpacked> zero_row(BitpackedWords(g.in_c), 0);
+  const int words = BitpackedWords(g.in_c);
+  std::vector<TBitpacked> zero_row(words, 0);
   const pipeline::TilePlan plan(g, gemm::kBgemmMr);
-  const int k_blocks = gemm::BGemmKBlocks(patch_words);
-  const std::int64_t a_elems =
-      gemm::BGemmApanelElems(k_blocks, gemm::kBgemmMr);
 
-  std::vector<std::uint64_t> expected(a_elems), got(a_elems);
+  std::vector<TBitpacked> got(static_cast<std::size_t>(gemm::kBgemmMr) *
+                              patch_words);
   for (std::int64_t t = 0; t < plan.num_tiles(); ++t) {
     const std::int64_t row0 = t * gemm::kBgemmMr;
-    gemm::BGemmPackLhsTile(patches.data(), static_cast<int>(rows), patch_words,
-                           static_cast<int>(row0), gemm::kBgemmMr, k_blocks,
-                           expected.data());
     // The checked (non-interior) gather must match everywhere...
     pipeline::GatherPackBitpacked(in_b.data<TBitpacked>(), ind,
-                                  zero_row.data(), row0, gemm::kBgemmMr,
-                                  k_blocks, /*interior=*/false, got.data());
-    ASSERT_EQ(std::memcmp(got.data(), expected.data(),
-                          a_elems * sizeof(std::uint64_t)),
-              0)
-        << "checked gather, tile " << t;
+                                  zero_row.data(), 0, words, row0,
+                                  gemm::kBgemmMr, /*interior=*/false,
+                                  got.data());
+    ExpectTileMatches(got, patches, rows, patch_words, row0, "checked gather",
+                      t);
     // ...and the sentinel-free interior variant on interior tiles.
     if (plan.interior(t)) {
+      std::fill(got.begin(), got.end(), 0xdeadbeefu);
       pipeline::GatherPackBitpacked(in_b.data<TBitpacked>(), ind,
-                                    zero_row.data(), row0, gemm::kBgemmMr,
-                                    k_blocks, /*interior=*/true, got.data());
-      ASSERT_EQ(std::memcmp(got.data(), expected.data(),
-                            a_elems * sizeof(std::uint64_t)),
-                0)
-          << "interior gather, tile " << t;
+                                    zero_row.data(), 0, words, row0,
+                                    gemm::kBgemmMr, /*interior=*/true,
+                                    got.data());
+      ExpectTileMatches(got, patches, rows, patch_words, row0,
+                        "interior gather", t);
     }
   }
 }
 
 TEST(GatherPack, EvenWordsMatchesIm2Col) {
-  // 64 channels = 2 words: the paired-word fast path.
+  // 64 channels = 2 words, 128 channels = 4 words.
   CheckGatherMatchesIm2Col(MakeGeo(9, 64, 3, 1, Padding::kSameOne));
   CheckGatherMatchesIm2Col(MakeGeo(8, 128, 3, 2, Padding::kSameOne));
 }
 
 TEST(GatherPack, OddWordsMatchesIm2Col) {
-  // The odd-words staging path needs an odd per-pixel word count:
-  // 32 channels = 1 word, 96 channels = 3 words.
+  // in_c = 32 (mod 64) gives an odd per-pixel word count, so a 3x3 patch row
+  // ends in half a K word that the BGEMM reads zero-extended: 32 channels =
+  // 1 word, 96 = 3 words, 160 = 5 words (a width with no fixed-size copy).
   CheckGatherMatchesIm2Col(MakeGeo(9, 32, 3, 1, Padding::kSameOne));
   CheckGatherMatchesIm2Col(MakeGeo(7, 96, 5, 1, Padding::kSameOne));
+  CheckGatherMatchesIm2Col(MakeGeo(7, 160, 3, 1, Padding::kSameZero));
 }
 
-TEST(GatherPack, ScatterFallbackMatchesIm2Col) {
-  // The generic word-by-word scatter fallback runs only when the logical
-  // patch row exceeds the 1024-word staging buffer AND the word count is
-  // odd: 96 channels = 3 words with a 19x19 filter gives 361 taps * 3 =
-  // 1083 words. One-padding makes border tiles exercise the sentinel path
-  // through the fallback too.
+TEST(GatherPack, GiantPatchRowMatchesIm2Col) {
+  // Patch rows over 1024 words: 96 channels = 3 words with a 19x19 filter
+  // gives 361 taps * 3 = 1083 words (odd), and 64 channels with a 23x23
+  // filter 1058 words (even). One-padding makes border tiles exercise the
+  // sentinel path too.
   CheckGatherMatchesIm2Col(MakeGeo(19, 96, 19, 1, Padding::kSameOne));
+  CheckGatherMatchesIm2Col(MakeGeo(23, 64, 23, 1, Padding::kSameOne));
 }
 
 TEST(GatherPack, BatchedMatchesIm2Col) {
   CheckGatherMatchesIm2Col(MakeGeo(6, 64, 3, 1, Padding::kSameOne, /*batch=*/3));
 }
 
+TEST(GatherPack, InteriorAndBorderTilesMatchIm2Col) {
+  // Geometries whose row tiles include both interior tiles (sentinel-free
+  // gather) and border tiles, for even and odd word counts and batches.
+  for (const Conv2DGeometry& g :
+       {MakeGeo(14, 64, 3, 1, Padding::kSameOne),
+        MakeGeo(14, 96, 3, 1, Padding::kSameZero),
+        MakeGeo(13, 32, 3, 1, Padding::kSameOne, /*batch=*/2)}) {
+    const pipeline::TilePlan plan(g, gemm::kBgemmMr);
+    EXPECT_GT(plan.interior_tiles(), 0) << "in_c=" << g.in_c;
+    EXPECT_LT(plan.interior_tiles(), plan.num_tiles()) << "in_c=" << g.in_c;
+    CheckGatherMatchesIm2Col(g);
+  }
+}
+
 TEST(GatherPack, GroupSliceMatchesGroupIm2Col) {
   // Grouped gather vs the sliced im2col the legacy grouped path uses. Group
-  // word counts of 1 (32 ch/group) and 2 (64 ch/group) cover the odd-words
-  // and even-words paths through the sliced gather.
+  // word counts of 1 (32 ch/group, odd), 2 (64 ch/group) and 3 (96 ch/group)
+  // cover fixed-width and runtime-width slices.
   const struct {
     int in_c, groups;
-  } cases[] = {{64, 2}, {128, 4}, {128, 2}, {96, 3}};
+  } cases[] = {{64, 2}, {128, 4}, {128, 2}, {96, 3}, {192, 2}};
   for (const auto& c : cases) {
     Conv2DGeometry g = MakeGeo(8, c.in_c, 3, 1, Padding::kSameOne);
     Rng rng(c.in_c * 5 + c.groups);
@@ -195,16 +222,14 @@ TEST(GatherPack, GroupSliceMatchesGroupIm2Col) {
     const int group_words = total_words / c.groups;
     const int taps = g.filter_h * g.filter_w;
     const int group_kw = taps * group_words;
-    const int k_blocks = gemm::BGemmKBlocks(group_kw);
-    const std::int64_t a_elems =
-        gemm::BGemmApanelElems(k_blocks, gemm::kBgemmMr);
 
     const gemm::IndirectionOffsets ind(g);
     std::vector<TBitpacked> zero_row(group_words, 0);
     const pipeline::TilePlan plan(g, gemm::kBgemmMr);
     std::vector<TBitpacked> group_patches(static_cast<std::size_t>(rows) *
                                           group_kw);
-    std::vector<std::uint64_t> expected(a_elems), got(a_elems);
+    std::vector<TBitpacked> got(static_cast<std::size_t>(gemm::kBgemmMr) *
+                                group_kw);
 
     for (int grp = 0; grp < c.groups; ++grp) {
       Im2ColBitpackedGroup(in_b.data<TBitpacked>(), g, total_words,
@@ -212,16 +237,17 @@ TEST(GatherPack, GroupSliceMatchesGroupIm2Col) {
                            group_patches.data());
       for (std::int64_t t = 0; t < plan.num_tiles(); ++t) {
         const std::int64_t row0 = t * gemm::kBgemmMr;
-        gemm::BGemmPackLhsTile(group_patches.data(), static_cast<int>(rows),
-                               group_kw, static_cast<int>(row0),
-                               gemm::kBgemmMr, k_blocks, expected.data());
-        pipeline::GatherPackBitpackedGroup(
-            in_b.data<TBitpacked>(), ind, zero_row.data(), grp * group_words,
-            group_words, row0, gemm::kBgemmMr, k_blocks, plan.interior(t),
-            got.data());
-        ASSERT_EQ(std::memcmp(got.data(), expected.data(),
-                              a_elems * sizeof(std::uint64_t)),
-                  0)
+        pipeline::GatherPackBitpacked(in_b.data<TBitpacked>(), ind,
+                                      zero_row.data(), grp * group_words,
+                                      group_words, row0, gemm::kBgemmMr,
+                                      plan.interior(t), got.data());
+        const std::int64_t n =
+            std::min<std::int64_t>(gemm::kBgemmMr, rows - row0);
+        ASSERT_EQ(
+            std::memcmp(got.data(), group_patches.data() + row0 * group_kw,
+                        static_cast<std::size_t>(n) * group_kw *
+                            sizeof(TBitpacked)),
+            0)
             << "in_c=" << c.in_c << " groups=" << c.groups << " grp=" << grp
             << " tile " << t;
       }

@@ -58,7 +58,9 @@ TEST(Printer, DotIsWellFormed) {
   EXPECT_NE(dot.find("}\n"), std::string::npos);
   // Every live node appears exactly once as a definition.
   for (int id : g.TopologicalOrder()) {
-    const std::string def = "n" + std::to_string(id) + " [label=";
+    std::string def = "n";
+    def += std::to_string(id);
+    def += " [label=";
     EXPECT_NE(dot.find(def), std::string::npos) << def;
   }
 }

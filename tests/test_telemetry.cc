@@ -455,9 +455,10 @@ TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
   EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(JsonEscape("line\nbreak\ttab"), "line\\nbreak\\ttab");
   std::string error;
-  EXPECT_TRUE(
-      ValidateJsonSyntax("\"" + JsonEscape("\x01\x1f\"\\\n") + "\"", &error))
-      << error;
+  std::string doc = "\"";
+  doc += JsonEscape("\x01\x1f\"\\\n");
+  doc += "\"";
+  EXPECT_TRUE(ValidateJsonSyntax(doc, &error)) << error;
 }
 
 }  // namespace
