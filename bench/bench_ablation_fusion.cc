@@ -14,13 +14,12 @@
 // ones."
 // The `--json=<path>` variant sweep below additionally ablates the shared
 // ConvPipeline row-tile engine at the kernel level: binarized depthwise,
-// grouped binary, and int8 convolutions, each fused (the production
-// row-tile path) vs force_unfused (the legacy full-image pipeline), and the
-// full-precision float convolution against its im2col + GEMM oracle
-// (kernels/reference.h, the retired production path). The
-// committed BENCH_conv_pipeline.json at the repo root is this report; the
-// perf-smoke CI job asserts its per-variant fused/interior tile counters
-// and the fused >= legacy geomean per variant.
+// grouped binary, int8 and full-precision float convolutions, each fused
+// (the production row-tile path) vs its legacy full-image oracle in
+// kernels/reference.h (the retired unfused pipeline). The committed
+// BENCH_conv_pipeline.json at the repo root is this report; the perf-smoke
+// CI job asserts its per-variant fused/interior tile counters and prints
+// the fused-vs-legacy geomean per variant.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -186,12 +185,10 @@ void SweepConvPipelineVariants(gemm::Context& ctx,
       BDepthwiseConv2DAttrs attrs;
       attrs.geo = g;
       BDepthwiseConv2D fused(w.data(), attrs);
-      attrs.force_unfused = true;
-      BDepthwiseConv2D legacy(w.data(), attrs);
+      const RefBDepthwiseConv2D legacy(w.data(), attrs);
       Tensor out(DataType::kFloat32, Shape{1, g.out_h(), g.out_w(), c.ch});
-      const auto [f, l] =
-          FusedVsLegacy([&] { fused.Run(in, out, ctx); },
-                        [&] { legacy.Run(in, out, ctx); });
+      const auto [f, l] = FusedVsLegacy([&] { fused.Run(in, out, ctx); },
+                                        [&] { legacy.Run(in, out); });
       char shape[64];
       std::snprintf(shape, sizeof(shape), "%dx%dx%d_s%d", c.hw, c.hw, c.ch,
                     c.stride);
@@ -200,7 +197,7 @@ void SweepConvPipelineVariants(gemm::Context& ctx,
     sweep.Finish();
   }
 
-  {  // Grouped binary convolution (previously always fell back to unfused).
+  {  // Grouped binary convolution.
     VariantSweep sweep("bconv2d_grouped", report);
     const struct {
       int hw, ch, groups;
@@ -221,8 +218,7 @@ void SweepConvPipelineVariants(gemm::Context& ctx,
       attrs.geo = g;
       attrs.groups = c.groups;
       BConv2D fused(w.data(), attrs);
-      attrs.force_unfused = true;
-      BConv2D legacy(w.data(), attrs);
+      const RefBConv2DIm2ColBGemm legacy(w.data(), attrs);
       Tensor out(DataType::kFloat32, Shape{1, g.out_h(), g.out_w(), c.ch});
       const auto [f, l] =
           FusedVsLegacy([&] { fused.Run(in, out, ctx); },
@@ -235,8 +231,7 @@ void SweepConvPipelineVariants(gemm::Context& ctx,
     sweep.Finish();
   }
 
-  {  // Full-precision float (QuickNet stem and 1x1 transitions); legacy is
-     // the im2col + FloatGemm oracle the production kernel replaced.
+  {  // Full-precision float (QuickNet stem and 1x1 transitions).
     VariantSweep sweep("conv2d_float", report);
     const struct {
       int hw, in_c, out_c, k, stride;
@@ -303,17 +298,11 @@ void SweepConvPipelineVariants(gemm::Context& ctx,
       attrs.weight_quant = {0.005f, 0};
       attrs.output_quant = {0.05f, -4};
       Conv2DInt8 fused(w.data(), attrs);
-      attrs.force_unfused = true;
-      Conv2DInt8 legacy(w.data(), attrs);
+      const RefConv2DInt8Im2ColGemm legacy(w.data(), attrs);
       Tensor out(DataType::kInt8, Shape{1, g.out_h(), g.out_w(), c.out_c});
       const auto [f, l] =
           FusedVsLegacy([&] { fused.Run(in, out, ctx); },
                         [&] { legacy.Run(in, out, ctx); });
-      // Each sample pair ends on the legacy run, which parks the
-      // conv2d_int8.tier gauge on the widened family; one trailing fused
-      // run leaves it at the tier the fused path actually selected so the
-      // report snapshot (and the CI gauge assertion) sees it.
-      fused.Run(in, out, ctx);
       char shape[64];
       std::snprintf(shape, sizeof(shape), "%dx%dx%d-%d", c.hw, c.hw, c.in_c,
                     c.out_c);

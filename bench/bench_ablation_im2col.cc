@@ -1,12 +1,11 @@
-// Three-way BConv2D execution-mode ablation on the QuickNet-S 3x3 shapes:
+// Two-way BConv2D execution ablation on the QuickNet-S 3x3 shapes:
 //
 //   im2col    -- full-image bitpacked im2col + packed BGEMM + full-image
-//                accumulator (the legacy pipeline, forced unfused);
-//   indirect  -- per-call pointer indirection + scalar indirect BGEMM into
-//                a full-image accumulator (the unfused indirect baseline);
-//   fused     -- the production path: cached indirection offsets + row-tile
-//                pipeline (gather-pack -> SIMD BGEMM -> padding correction
-//                -> output transform per cache-resident tile).
+//                accumulator (the retired unfused pipeline, timed as the
+//                RefBConv2DIm2ColBGemm oracle of kernels/reference.h);
+//   fused     -- the production BConv2D: cached indirection offsets +
+//                row-tile pipeline (gather-pack -> SIMD BGEMM -> padding
+//                correction -> output transform per cache-resident tile).
 //
 // `--json=<path>` writes a RunReport with per-shape milliseconds and the
 // fused-vs-im2col speedups; the committed BENCH_bconv_fusion.json at the
@@ -14,11 +13,12 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <memory>
+#include <functional>
 
 #include "bench_common.h"
 #include "core/bitpack.h"
 #include "kernels/bconv2d.h"
+#include "kernels/reference.h"
 #include "telemetry/metrics.h"
 #include "telemetry/run_report.h"
 
@@ -27,15 +27,12 @@ namespace {
 using namespace lce;
 using namespace lce::bench;
 
-enum class ExecMode { kIm2Col, kIndirectUnfused, kFusedIndirect };
-
-// Measures all three execution modes of one shape with round-robin
-// interleaved single-run samples: slow noise (frequency drift, other
-// tenants on the core) hits every mode equally instead of corrupting
-// whichever mode happened to be on the clock, which matters for the
-// mode-vs-mode ratios this ablation exists to report. Returns per-mode
-// median seconds indexed by ExecMode.
-std::array<double, 3> BConvModeLatencies(int hw, int channels, int kernel,
+// Measures the im2col oracle and the fused kernel on one shape with
+// round-robin interleaved single-run samples: slow noise (frequency drift,
+// other tenants on the core) hits both equally instead of corrupting
+// whichever happened to be on the clock, which matters for the ratio this
+// ablation exists to report. Returns {im2col, fused} median seconds.
+std::array<double, 2> BConvModeLatencies(int hw, int channels, int kernel,
                                          gemm::Context& ctx) {
   Conv2DGeometry g;
   g.in_h = g.in_w = hw;
@@ -51,33 +48,30 @@ std::array<double, 3> BConvModeLatencies(int hw, int channels, int kernel,
                        channels);
   for (auto& v : w) v = rng.Sign();
 
-  std::vector<std::unique_ptr<BConv2D>> ops;
+  BConv2DAttrs attrs;
+  attrs.geo = g;
+  attrs.output_type = BConvOutputType::kFloat;
+  const RefBConv2DIm2ColBGemm im2col(w.data(), attrs);
+  const BConv2D fused(w.data(), attrs);
   Tensor out(DataType::kFloat32, Shape{1, g.out_h(), g.out_w(), channels});
-  for (ExecMode mode : {ExecMode::kIm2Col, ExecMode::kIndirectUnfused,
-                        ExecMode::kFusedIndirect}) {
-    BConv2DAttrs attrs;
-    attrs.geo = g;
-    attrs.output_type = BConvOutputType::kFloat;
-    attrs.use_indirect_bgemm = mode != ExecMode::kIm2Col;
-    attrs.force_unfused = mode != ExecMode::kFusedIndirect;
-    ops.push_back(std::make_unique<BConv2D>(w.data(), attrs));
-  }
+  const std::function<void()> runs[2] = {
+      [&] { im2col.Run(input, out, ctx); },
+      [&] { fused.Run(input, out, ctx); }};
   constexpr int kWarmup = 2, kSamples = 41;
-  std::array<std::vector<double>, 3> samples;
-  for (int m = 0; m < 3; ++m) {
-    for (int i = 0; i < kWarmup; ++i) ops[m]->Run(input, out, ctx);
+  std::array<std::vector<double>, 2> samples;
+  for (int m = 0; m < 2; ++m) {
+    for (int i = 0; i < kWarmup; ++i) runs[m]();
     samples[m].reserve(kSamples);
   }
   for (int s = 0; s < kSamples; ++s) {
-    for (int m = 0; m < 3; ++m) {
+    for (int m = 0; m < 2; ++m) {
       const double t0 = profiling::NowSeconds();
-      ops[m]->Run(input, out, ctx);
+      runs[m]();
       samples[m].push_back(profiling::NowSeconds() - t0);
     }
   }
   return {profiling::Median(std::move(samples[0])),
-          profiling::Median(std::move(samples[1])),
-          profiling::Median(std::move(samples[2]))};
+          profiling::Median(std::move(samples[1]))};
 }
 
 }  // namespace
@@ -94,13 +88,13 @@ int main(int argc, char** argv) {
   report.AddMetaInt("threads", ctx.num_threads());
 
   std::printf(
-      "=== Ablation: im2col BGEMM vs unfused indirect vs fused tiled "
+      "=== Ablation: im2col BGEMM vs fused tiled "
       "(profile=%s, threads=%d) ===\n\n",
       ProfileName(profile), ctx.num_threads());
-  std::printf("%-22s %12s %13s %10s %17s\n", "Convolution", "im2col (ms)",
-              "indirect (ms)", "fused (ms)", "fused vs im2col");
+  std::printf("%-22s %12s %10s %17s\n", "Convolution", "im2col (ms)",
+              "fused (ms)", "fused vs im2col");
   CsvWriter csv("ablation_bconv_fusion",
-                "hw,channels,kernel,im2col_ms,indirect_ms,fused_ms,"
+                "hw,channels,kernel,im2col_ms,fused_ms,"
                 "fused_speedup_vs_im2col");
   struct Case {
     int hw, ch, k;
@@ -114,22 +108,17 @@ int main(int argc, char** argv) {
   for (const Case& c : {Case{56, 32, 3}, Case{28, 64, 3}, Case{14, 256, 3},
                         Case{7, 512, 3}, Case{56, 64, 3}, Case{28, 128, 3},
                         Case{28, 64, 1}, Case{14, 256, 1}}) {
-    const auto lat = BConvModeLatencies(c.hw, c.ch, c.k, ctx);
-    const double im2col = lat[static_cast<int>(ExecMode::kIm2Col)];
-    const double indirect = lat[static_cast<int>(ExecMode::kIndirectUnfused)];
-    const double fused = lat[static_cast<int>(ExecMode::kFusedIndirect)];
+    const auto [im2col, fused] = BConvModeLatencies(c.hw, c.ch, c.k, ctx);
     const double speedup = fused > 0 ? im2col / fused : 0.0;
-    std::printf("%dx%dx%dx%d k=%d %*s %10.3f %13.3f %10.3f %15.2fx\n", c.hw,
-                c.hw, c.ch, c.ch, c.k, 2, "", im2col * 1e3, indirect * 1e3,
-                fused * 1e3, speedup);
+    std::printf("%dx%dx%dx%d k=%d %*s %10.3f %10.3f %15.2fx\n", c.hw, c.hw,
+                c.ch, c.ch, c.k, 2, "", im2col * 1e3, fused * 1e3, speedup);
     char row[160];
-    std::snprintf(row, sizeof(row), "%d,%d,%d,%.6f,%.6f,%.6f,%.3f", c.hw, c.ch,
-                  c.k, im2col * 1e3, indirect * 1e3, fused * 1e3, speedup);
+    std::snprintf(row, sizeof(row), "%d,%d,%d,%.6f,%.6f,%.3f", c.hw, c.ch,
+                  c.k, im2col * 1e3, fused * 1e3, speedup);
     csv.Row(row);
     char key[64];
     std::snprintf(key, sizeof(key), "%dx%dx%d_k%d", c.hw, c.hw, c.ch, c.k);
     report.AddResult(std::string("im2col_ms.") + key, im2col * 1e3);
-    report.AddResult(std::string("indirect_ms.") + key, indirect * 1e3);
     report.AddResult(std::string("fused_ms.") + key, fused * 1e3);
     report.AddResult(std::string("fused_speedup_vs_im2col.") + key, speedup);
     if (c.k == 3 && speedup > 0) {
@@ -145,11 +134,9 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nim2col pays the patch copy and a full-image accumulator round trip;\n"
-      "unfused indirect trades the copy for per-call pointer setup and a\n"
-      "scalar gather kernel; the fused row-tile pipeline keeps the SIMD\n"
-      "micro-kernels, gathers through prepare-time offsets, and never leaves\n"
-      "the cache between BGEMM and output transform. 1x1 shapes skip patch\n"
-      "materialization in every mode.\n");
+      "the fused row-tile pipeline gathers through prepare-time offsets into\n"
+      "the same SIMD micro-kernels and never leaves the cache between BGEMM\n"
+      "and output transform. 1x1 shapes skip patch materialization in both.\n");
   if (!json_path.empty()) {
     const Status s = report.WriteJson(json_path);
     if (s.ok()) {

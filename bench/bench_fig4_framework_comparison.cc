@@ -15,6 +15,7 @@
 #include "gemm/baselines.h"
 #include "gemm/bgemm.h"
 #include "kernels/im2col.h"
+#include "kernels/reference.h"
 #include "models/zoo.h"
 #include "telemetry/run_report.h"
 

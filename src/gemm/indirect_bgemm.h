@@ -11,15 +11,12 @@
 // indirect loads; it wins whenever the patch buffer round-trip would cost
 // more than the gather.
 //
-// Two consumers:
-//   * The gather/pack strategies in kernels/pipeline/gather_pack.h pack
-//     micro-kernel A-panels straight from the feature map, feeding the same
-//     register-tiled SIMD kernels as the packed BGEMM (gemm/bgemm.h) -- the
-//     fused ConvPipeline used by BConv2D, grouped BConv2D, BDepthwiseConv2D
-//     and Conv2DInt8.
-//   * The legacy IndirectionBuffer + IndirectBGemm pair (pointer table
-//     rebuilt per call, scalar 1x4 kernel) is kept as the unfused baseline
-//     for the ablation benchmarks.
+// The table's only consumers are the gather/pack strategies in
+// kernels/pipeline/gather_pack.h, which build micro-kernel A operands
+// straight from the feature map inside the fused ConvPipeline of BConv2D
+// (grouped included), BDepthwiseConv2D and Conv2DInt8. For BConv2D, that
+// gather feeding the packed BGEMM kernels (gemm/bgemm.h) is the indirect
+// BGEMM.
 #ifndef LCE_GEMM_INDIRECT_BGEMM_H_
 #define LCE_GEMM_INDIRECT_BGEMM_H_
 
@@ -27,7 +24,6 @@
 #include <vector>
 
 #include "core/types.h"
-#include "gemm/context.h"
 #include "kernels/conv_params.h"
 
 namespace lce::gemm {
@@ -68,35 +64,6 @@ class IndirectionOffsets {
   int taps_ = 0, words_ = 0;
   std::vector<std::int32_t> offsets_;  // [rows][taps]
 };
-
-// Legacy per-call pointer table: rebuilt from the geometry and input pointer
-// on every construction. Kept as the unfused-indirect ablation baseline.
-class IndirectionBuffer {
- public:
-  IndirectionBuffer() = default;
-
-  // Builds pointers for every (output position, filter tap) into `input`
-  // (bitpacked NHWC). Padded taps point at an internal zero row.
-  IndirectionBuffer(const TBitpacked* input, const Conv2DGeometry& geo);
-
-  int rows() const { return rows_; }       // output positions
-  int taps() const { return taps_; }       // filter_h * filter_w
-  int words() const { return words_; }     // words(in_c)
-  const TBitpacked* const* data() const { return pointers_.data(); }
-
- private:
-  int rows_ = 0, taps_ = 0, words_ = 0;
-  std::vector<const TBitpacked*> pointers_;  // [rows][taps]
-  std::vector<TBitpacked> zero_row_;         // one-padding source
-};
-
-// out[r][n] = k_bits - 2 * popcount over the r-th output position's taps
-// against weight row n. Weights layout: [n][taps][words] (the BConv2D
-// packed_rows_ layout). Single-threaded scalar 1x4 kernel; the fused
-// BConv2D pipeline supersedes this for production use.
-void IndirectBGemm(const IndirectionBuffer& indirection,
-                   const TBitpacked* weight_rows, int n, int k_bits,
-                   std::int32_t* out, int ldc);
 
 }  // namespace lce::gemm
 

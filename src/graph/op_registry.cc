@@ -416,10 +416,12 @@ Status NoOpSpecificChecks(const Graph&, const Node&) { return Status::Ok(); }
 
 // ---- Resource bounds --------------------------------------------------------
 
-// Bounds the scratch allocation a convolution makes at run time for its
-// im2col patch matrix (rows x depth elements); this lives outside the
-// planned arena, so the arena cap does not cover it. `kBitpacked` depth is
-// counted in packed words.
+// Bounds a convolution's im2col patch-matrix footprint (rows x depth
+// elements). The kernels gather per row tile instead of materializing that
+// matrix, but its size bounds the work and the run-time state (indirection
+// tables, scratch) a hostile geometry could demand outside the planned
+// arena, which the arena cap does not cover. `kBitpacked` depth is counted
+// in packed words.
 template <DataType kElem>
 Status Im2ColResources(const Node& n, const ResourceLimits& limits) {
   const Conv2DGeometry& g = n.attrs.conv;
@@ -541,13 +543,6 @@ PreparedState PrepareBConv(const Graph& g, const Node& n,
   attrs.pre_activation = n.attrs.pre_activation;
   attrs.multiplier = n.attrs.multiplier;
   attrs.bias = n.attrs.bias;
-  // Kernel selection (docs/PERFORMANCE.md): non-pointwise convolutions
-  // gather through the prepare-time indirection table instead of
-  // materializing im2col patches per Invoke; pointwise convolutions feed
-  // the input to the BGEMM directly either way.
-  attrs.use_indirect_bgemm = attrs.geo.filter_h > 1 ||
-                             attrs.geo.filter_w > 1 ||
-                             attrs.geo.stride_h > 1 || attrs.geo.stride_w > 1;
   if (root) return Sibling<BConv2D>(root, std::move(attrs));
   return MakeBinaryKernel<BConv2D>(g, n, std::move(attrs), packed_bytes);
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -10,13 +9,26 @@
 #include "core/macros.h"
 #include "kernels/im2col.h"
 #include "kernels/pipeline/gather_pack.h"
-#include "telemetry/clock.h"
 #include "telemetry/metrics.h"
-#include "telemetry/tracer.h"
 
 namespace lce {
 
-using telemetry::NowNanos;
+std::unique_ptr<pipeline::OutputTransform> MakeBConvOutputTransform(
+    const BConv2DAttrs& attrs, int k_bits) {
+  const int out_c = attrs.geo.out_c;
+  switch (attrs.output_type) {
+    case BConvOutputType::kFloat:
+      return std::make_unique<pipeline::FloatOutputTransform>(
+          out_c, attrs.pre_activation, attrs.multiplier, attrs.bias);
+    case BConvOutputType::kBitpacked:
+      // Precomputes its thresholds in its constructor.
+      return std::make_unique<pipeline::BitpackedOutputTransform>(
+          out_c, k_bits, attrs.pre_activation, attrs.multiplier, attrs.bias);
+    case BConvOutputType::kInt32:
+      break;
+  }
+  return std::make_unique<pipeline::Int32OutputTransform>(out_c);
+}
 
 BConv2D::BConv2D(const float* weights_ohwi, BConv2DAttrs attrs)
     : attrs_(std::move(attrs)) {
@@ -98,17 +110,12 @@ void BConv2D::InitGeometry() {
   const int words = BitpackedWords(in_c_pg);
   k_bits_ = g.filter_h * g.filter_w * in_c_pg;
 
-  // Gather path setup. Grouped convolutions always gather (their per-group
-  // word slices have no contiguous im2col-free form); for groups == 1 the
-  // indirection table is built when the user asked for the indirect BGEMM
-  // and the convolution is not pointwise (a 1x1 stride-1 convolution feeds
-  // the input to the GEMM directly and needs no table). The table depends
-  // only on the geometry, so it is built once here instead of on every Run
-  // (the paper's indirect BGEMM setup cost moves entirely out of the
-  // inference hot path).
-  const bool pointwise = g.filter_h == 1 && g.filter_w == 1 &&
-                         g.stride_h == 1 && g.stride_w == 1;
-  if (groups > 1 || (attrs_.use_indirect_bgemm && !pointwise)) {
+  // Gather path setup: everything except a 1x1 stride-1 ungrouped
+  // convolution, whose input feeds the GEMM directly, gathers through the
+  // indirection table. The table depends only on the geometry, so it is
+  // built once here instead of on every Run (the paper's indirect BGEMM
+  // setup cost moves entirely out of the inference hot path).
+  if (!ReadsInputInPlace()) {
     indirection_ = gemm::IndirectionOffsets(g);
     zero_row_.assign(words, 0);  // 0 bits = +1.0 one-padding
   }
@@ -153,23 +160,7 @@ void BConv2D::InitWeights(SharedWeights* weights) const {
     }
   }
 
-  // Output transform policy, shared verbatim by the fused and legacy paths
-  // (the bitpacked flavor precomputes its thresholds in its constructor).
-  switch (attrs_.output_type) {
-    case BConvOutputType::kFloat:
-      weights->transform = std::make_unique<pipeline::FloatOutputTransform>(
-          g.out_c, attrs_.pre_activation, attrs_.multiplier, attrs_.bias);
-      break;
-    case BConvOutputType::kBitpacked:
-      weights->transform = std::make_unique<pipeline::BitpackedOutputTransform>(
-          g.out_c, k_bits_, attrs_.pre_activation, attrs_.multiplier,
-          attrs_.bias);
-      break;
-    case BConvOutputType::kInt32:
-      weights->transform =
-          std::make_unique<pipeline::Int32OutputTransform>(g.out_c);
-      break;
-  }
+  weights->transform = MakeBConvOutputTransform(attrs_, k_bits_);
 }
 
 void BConv2D::ApplyZeroPaddingCorrectionRows(std::int32_t* acc,
@@ -208,21 +199,19 @@ void BConv2D::ApplyZeroPaddingCorrectionRows(std::int32_t* acc,
 }
 
 // TileCompute policy of the binary convolution: run the XOR-popcount block
-// kernel on row-major patch rows -- contiguous ones (im2col output or a
-// pointwise input) in place, or rows gathered through the indirection cache
-// into shard scratch, one word slice per group.
+// kernel on row-major patch rows -- a pointwise input in place, or rows
+// gathered through the indirection cache into shard scratch, one word slice
+// per group.
 class BConvTileCompute final : public pipeline::TileCompute {
  public:
-  // `patches` null selects the gather.
-  BConvTileCompute(const BConv2D& op, const TBitpacked* input,
-                   const TBitpacked* patches)
+  BConvTileCompute(const BConv2D& op, const TBitpacked* input)
       : op_(op),
         input_(input),
-        patches_(patches),
+        in_place_(op.ReadsInputInPlace()),
         lda_(op.weights_->groups[0].kw()) {}
 
   std::size_t ShardScratchBytes(int block_tiles) const override {
-    if (patches_ != nullptr) return 0;
+    if (in_place_) return 0;
     return static_cast<std::size_t>(block_tiles) * gemm::kBgemmMr * lda_ *
            sizeof(TBitpacked);
   }
@@ -234,8 +223,8 @@ class BConvTileCompute final : public pipeline::TileCompute {
     const gemm::BGemmTier tier = gemm::BGemmTierFor(profile);
     const auto& groups = op_.weights_->groups;
     const int out_c = op_.attrs_.geo.out_c;
-    if (patches_ != nullptr) {
-      gemm::BGemmComputeBlock(patches_ + row0 * lda_, lda_, groups[0],
+    if (in_place_) {
+      gemm::BGemmComputeBlock(input_ + row0 * lda_, lda_, groups[0],
                               op_.k_bits_, tier, block_rows, acc, out_c);
       return;
     }
@@ -263,8 +252,8 @@ class BConvTileCompute final : public pipeline::TileCompute {
  private:
   const BConv2D& op_;
   const TBitpacked* input_;
-  const TBitpacked* patches_;
-  int lda_;  // words per patch row: one group's K
+  bool in_place_;  // pointwise: the input rows are the patch rows
+  int lda_;        // words per patch row: one group's K
 };
 
 // RowCorrector policy: zero-padding fixup, invoked by the engine only for
@@ -298,52 +287,15 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
       break;
   }
 
-  if (attrs_.force_unfused) {
-    static telemetry::Metric* forced =
-        telemetry::MetricsRegistry::Global().Counter("bconv2d.forced_unfused");
-    forced->Add(1);
-    RunUnfused(input, output, ctx, times);
-    return;
-  }
-
-  // Fused row-tile pipeline for every configuration, grouped included. The
-  // only full-image stage left is the im2col copy of the non-indirect
-  // ungrouped variant; everything downstream (gather, BGEMM, zero-padding
-  // correction, output transform) runs per row tile inside the shared
-  // engine, so no full-image accumulator is ever allocated.
-  const int groups = std::max(1, attrs_.groups);
-  const std::int64_t rows = Im2ColRows(g);
-  const int patch_words = Im2ColDepthBitpacked(g);
-  const bool pointwise = g.filter_h == 1 && g.filter_w == 1 &&
-                         g.stride_h == 1 && g.stride_w == 1;
-  const bool timed = telemetry::TracingActive() || times != nullptr;
-
-  std::uint64_t t0 = 0;
-  if (timed) t0 = NowNanos();
-  // Patch rows feed the kernel in place: a 1x1 stride-1 convolution's
-  // im2col is the identity, so its bitpacked input is used directly; the
-  // non-indirect variant materializes im2col once. Everything else
-  // (grouped, indirect) gathers per row tile.
-  const TBitpacked* patches = nullptr;
-  if (groups == 1 && pointwise) {
-    patches = input.data<TBitpacked>();
-  } else if (groups == 1 && !attrs_.use_indirect_bgemm) {
-    const std::size_t patch_bytes =
-        static_cast<std::size_t>(rows) * patch_words * sizeof(TBitpacked);
-    auto* scratch = reinterpret_cast<TBitpacked*>(ctx.Scratch(1, patch_bytes));
-    static telemetry::Metric* im2col_bytes =
-        telemetry::MetricsRegistry::Global().Gauge("bconv2d.im2col_bytes");
-    im2col_bytes->SetMax(static_cast<std::int64_t>(patch_bytes));
-    Im2ColBitpacked(input.data<TBitpacked>(), g, scratch);
-    patches = scratch;
-  }
-  const std::uint64_t t1 = timed ? NowNanos() : 0;
-
+  // Fused row-tile pipeline for every configuration, grouped included:
+  // gather, BGEMM, zero-padding correction and output transform all run
+  // per row tile inside the shared engine, so neither a patch matrix nor a
+  // full-image accumulator is ever allocated.
   static telemetry::Metric* macs =
       telemetry::MetricsRegistry::Global().Counter("bgemm.binary_macs");
-  macs->Add(rows * (g.out_c / groups) * k_bits_ * groups);
+  macs->Add(Im2ColRows(g) * g.out_c * k_bits_);
 
-  const BConvTileCompute compute(*this, input.data<TBitpacked>(), patches);
+  const BConvTileCompute compute(*this, input.data<TBitpacked>());
   const BConvZeroPadCorrector corrector(*this);
 
   pipeline::ConvPipelineArgs args;
@@ -355,124 +307,7 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
       g.padding == Padding::kSameZero ? &corrector : nullptr;
   args.transform = weights_->transform.get();
   args.out = output.raw_data();
-  args.pre_t0 = t0;
-  args.pre_t1 = t1;
   pipeline::RunConvPipeline(args, ctx, times);
-}
-
-void BConv2D::RunUnfused(const Tensor& input, Tensor& output,
-                         gemm::Context& ctx, BConvStageTimes* times) const {
-  // Tripwire: the legacy path must only ever run when explicitly forced.
-  // If a future change reintroduces a silent fallback, this counter goes
-  // nonzero and the perf-smoke CI assertion catches it.
-  if (!attrs_.force_unfused) {
-    static telemetry::Metric* fallback =
-        telemetry::MetricsRegistry::Global().Counter(
-            "bconv2d.fallback_unfused");
-    fallback->Add(1);
-  }
-
-  const Conv2DGeometry& g = attrs_.geo;
-  const std::int64_t rows = Im2ColRows(g);
-  const int patch_words = Im2ColDepthBitpacked(g);
-
-  const int groups = std::max(1, attrs_.groups);
-  const int in_c_pg = g.in_c / groups;
-  const int out_c_pg = g.out_c / groups;
-  const int group_words = BitpackedWords(in_c_pg);
-  const int total_words = groups * group_words;
-
-  // Fast path: a 1x1 stride-1 convolution's im2col is the identity, so the
-  // bitpacked input feeds the BGEMM directly (no patch materialization).
-  const bool pointwise = groups == 1 && g.filter_h == 1 && g.filter_w == 1 &&
-                         g.stride_h == 1 && g.stride_w == 1;
-  const bool indirect = groups == 1 && attrs_.use_indirect_bgemm;
-
-  // Stage timestamps are taken only when someone consumes them: the per-op
-  // profiler (`times`) and/or the tracer. Both are fed from the same
-  // telemetry-clock reads, so the Table 4 stage split and the Chrome trace
-  // are two views of one measurement; the unobserved hot path reads no
-  // clock at all.
-  const bool tracing = telemetry::TracingActive();
-  const bool timed = tracing || times != nullptr;
-  telemetry::Tracer& tracer = telemetry::Tracer::Global();
-
-  std::uint64_t t0 = 0;
-  if (timed) t0 = NowNanos();
-  const TBitpacked* patches = nullptr;
-  TBitpacked* patch_scratch = nullptr;
-  if (pointwise) {
-    patches = input.data<TBitpacked>();
-  } else if (!indirect) {
-    // The indirect path needs no patch buffer: gathering replaces im2col,
-    // so neither the slot-1 scratch nor the im2col gauge is touched.
-    const std::size_t patch_bytes =
-        static_cast<std::size_t>(rows) * patch_words * sizeof(TBitpacked);
-    patch_scratch = reinterpret_cast<TBitpacked*>(ctx.Scratch(1, patch_bytes));
-    static telemetry::Metric* im2col_bytes =
-        telemetry::MetricsRegistry::Global().Gauge("bconv2d.im2col_bytes");
-    im2col_bytes->SetMax(static_cast<std::int64_t>(patch_bytes));
-    if (groups == 1) {
-      Im2ColBitpacked(input.data<TBitpacked>(), g, patch_scratch);
-    }
-    patches = patch_scratch;
-  }
-
-  std::uint64_t t1 = timed ? NowNanos() : 0;
-  auto* acc = reinterpret_cast<std::int32_t*>(ctx.Scratch(
-      2, static_cast<std::size_t>(rows) * g.out_c * sizeof(std::int32_t)));
-  if (indirect && !pointwise) {
-    // Indirect path: pointer setup replaces im2col entirely.
-    const gemm::IndirectionBuffer ind(input.data<TBitpacked>(), g);
-    if (timed) t1 = NowNanos();
-    gemm::IndirectBGemm(ind, weights_->rows.data(), g.out_c, k_bits_, acc,
-                        g.out_c);
-  } else if (groups == 1) {
-    gemm::BGemm(patches, static_cast<int>(rows), weights_->groups[0], k_bits_,
-                acc, g.out_c, ctx);
-  } else {
-    std::uint64_t im2col_total = timed ? t1 - t0 : 0;
-    for (int grp = 0; grp < groups; ++grp) {
-      const std::uint64_t g0 = timed ? NowNanos() : 0;
-      Im2ColBitpackedGroup(input.data<TBitpacked>(), g, total_words,
-                           grp * group_words, group_words, patch_scratch);
-      const std::uint64_t g1 = timed ? NowNanos() : 0;
-      gemm::BGemm(patch_scratch, static_cast<int>(rows),
-                  weights_->groups[grp], k_bits_,
-                  acc + static_cast<std::int64_t>(grp) * out_c_pg, g.out_c,
-                  ctx);
-      if (timed) {
-        im2col_total += g1 - g0;
-        if (tracing) {
-          tracer.RecordCompleteWithArg("bconv2d/im2col", "kernel", g0, g1,
-                                       "group", grp);
-        }
-      }
-    }
-    // Fold the per-group stage timings into the im2col/gemm boundary.
-    if (timed) t1 = t0 + im2col_total;
-  }
-
-  const std::uint64_t t2 = timed ? NowNanos() : 0;
-  if (g.padding == Padding::kSameZero) {
-    ApplyZeroPaddingCorrectionRows(acc, 0, rows);
-  }
-  weights_->transform->Apply(acc, 0, rows, output.raw_data());
-
-  if (!timed) return;
-  const std::uint64_t t3 = NowNanos();
-  if (tracing) {
-    // The grouped path already emitted per-group im2col spans above; the
-    // ungrouped paths get one im2col span for the t0..t1 segment.
-    if (groups == 1) tracer.RecordComplete("bconv2d/im2col", "kernel", t0, t1);
-    tracer.RecordComplete("bconv2d/gemm", "kernel", t1, t2);
-    tracer.RecordComplete("bconv2d/output_transform", "kernel", t2, t3);
-  }
-  if (times != nullptr) {
-    times->im2col = static_cast<double>(t1 - t0) * 1e-9;
-    times->gemm = static_cast<double>(t2 - t1) * 1e-9;
-    times->transform = static_cast<double>(t3 - t2) * 1e-9;
-  }
 }
 
 }  // namespace lce

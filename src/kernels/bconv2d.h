@@ -1,9 +1,10 @@
 // LceBConv2d: the primary binarized operator (paper section 3.2).
 //
 // Three-stage pipeline, exactly as described in the paper:
-//   1. im2col on bitpacked activations (one-padding falls out naturally) --
-//      or, on the fused path, a gather through the prepare-time indirection
-//      cache that never materializes patches;
+//   1. im2col on bitpacked activations (one-padding falls out naturally),
+//      done here as a gather through the prepare-time indirection cache
+//      that never materializes patches -- or, for a 1x1 stride-1 ungrouped
+//      convolution, whose im2col is the identity, no copy at all;
 //   2. BGEMM (XOR + POPCOUNT) accumulating into int32;
 //   3. an output-type-specific output transform that applies the fused
 //      channel-wise multiplier/bias (from batch-norm fusion), the fused
@@ -12,9 +13,11 @@
 //      output directly (enabling binarized-layer chaining without
 //      materializing full-precision values).
 //
-// Production execution runs through the shared fused row-tile engine
-// (kernels/pipeline/conv_pipeline.h) for all group counts; the transforms
-// are the shared policies in kernels/pipeline/output_transform.h.
+// Every configuration runs through the shared fused row-tile engine
+// (kernels/pipeline/conv_pipeline.h); the transforms are the shared
+// policies in kernels/pipeline/output_transform.h. The retired full-image
+// pipeline (materialized im2col -> BGEMM -> transform) is the test and
+// benchmark oracle RefBConv2DIm2ColBGemm in kernels/reference.h.
 //
 // Zero-padding support: bitpacked data cannot represent 0, so SAME_ZERO
 // convolutions are computed with one-padding and then corrected by
@@ -58,17 +61,6 @@ struct BConv2DAttrs {
   // whole, and in_c/groups must be a multiple of 32 so that group
   // boundaries fall on bitpacked word boundaries.
   int groups = 1;
-  // Use the indirect BGEMM A-side (gather through the offset cache instead
-  // of im2col; see gemm/indirect_bgemm.h). Only consulted for groups == 1:
-  // grouped convolutions always gather (their per-group sliced views have
-  // no im2col-free contiguous form).
-  bool use_indirect_bgemm = false;
-  // Escape hatch for benchmarks and parity tests: run the legacy unfused
-  // pipeline (full-image im2col / indirection -> full-image accumulator ->
-  // transform) instead of the fused row-tile pipeline. This is the ONLY
-  // way to reach the legacy path; involuntary fallbacks would show up in
-  // the `bconv2d.fallback_unfused` counter (asserted zero in CI).
-  bool force_unfused = false;
   // Fused activation applied to the integer accumulator *before* the
   // channel-wise transform (matches conv -> ReLU -> BatchNorm graphs, the
   // QuickNet pattern).
@@ -81,6 +73,11 @@ struct BConv2DAttrs {
 // Wall-clock seconds spent in each stage of the last Run() call; used by the
 // profiler for the Table 4 accumulation-loop vs output-transform breakdown.
 using BConvStageTimes = pipeline::ConvStageTimes;
+
+// The output transform policy for attrs.output_type; `k_bits` is the
+// logical K per group (it bounds the bitpacked thresholds' search).
+std::unique_ptr<pipeline::OutputTransform> MakeBConvOutputTransform(
+    const BConv2DAttrs& attrs, int k_bits);
 
 class BConv2D {
  public:
@@ -104,9 +101,8 @@ class BConv2D {
 
   // input: bitpacked NHWC [batch, in_h, in_w, in_c(packed)].
   // output: dtype matching attrs.output_type, shape [batch, oh, ow, out_c].
-  // scratch usage: context slot 1 (im2col patches; untouched on the
-  // indirect/grouped paths) and slot 2 (fused path: per-shard gathered rows +
-  // row-tile accumulator; legacy path: full-image accumulator).
+  // scratch usage: context slot 2 (per-shard gathered rows + row-tile
+  // accumulator).
   void Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
            BConvStageTimes* times = nullptr) const;
 
@@ -131,15 +127,17 @@ class BConv2D {
     // Zero-padding correction: weight sums per (filter position, channel),
     // [fh*fw][out_c]; empty unless padding == kSameZero.
     std::vector<std::int32_t> filter_pos_weight_sums;
-    // Output transform policy (float / bitpacked-threshold / raw int32),
-    // shared verbatim between the fused and legacy paths.
+    // Output transform policy (float / bitpacked-threshold / raw int32).
     std::unique_ptr<pipeline::OutputTransform> transform;
   };
 
-  // Legacy unfused pipeline (full-image accumulator), reachable only via
-  // attrs.force_unfused; shares the output transform with the fused path.
-  void RunUnfused(const Tensor& input, Tensor& output, gemm::Context& ctx,
-                  BConvStageTimes* times) const;
+  // A 1x1 stride-1 ungrouped convolution's im2col is the identity: its
+  // bitpacked input rows feed the BGEMM in place, with no gather.
+  bool ReadsInputInPlace() const {
+    const Conv2DGeometry& g = attrs_.geo;
+    return attrs_.groups <= 1 && g.filter_h == 1 && g.filter_w == 1 &&
+           g.stride_h == 1 && g.stride_w == 1;
+  }
   // Builds the geometry-dependent per-variant state: validation, k_bits_,
   // the indirection cache and the interior/border tile plan. The only
   // setup a batch-variant sibling repeats.
@@ -162,11 +160,10 @@ class BConv2D {
   std::shared_ptr<const SharedWeights> weights_;
   int k_bits_ = 0;  // logical K per group: fh*fw*(in_c/groups)
 
-  // Gather path (always for groups > 1; for groups == 1 when
-  // use_indirect_bgemm and non-pointwise): the geometry-only indirection
-  // table, built once here rather than per Run, plus the all-zero row
-  // padded taps gather from (one-padding). zero_row_ is sized
-  // words(in_c/groups) -- one group's slice.
+  // Gather path (every convolution except a 1x1 stride-1 ungrouped one):
+  // the geometry-only indirection table, built once here rather than per
+  // Run, plus the all-zero row padded taps gather from (one-padding).
+  // zero_row_ is sized words(in_c/groups) -- one group's slice.
   gemm::IndirectionOffsets indirection_;
   std::vector<TBitpacked> zero_row_;
 

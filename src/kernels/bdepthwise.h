@@ -14,7 +14,9 @@
 // (kernels/pipeline/conv_pipeline.h): the bit-sliced counter is the
 // micro-kernel policy, the taps are resolved through the prepare-time
 // indirection cache, and the shared float output transform applies the
-// fused multiplier/bias per cache-resident tile.
+// fused multiplier/bias per cache-resident tile. The retired single-threaded
+// full-image loop is the test and benchmark oracle RefBDepthwiseConv2D in
+// kernels/reference.h.
 #ifndef LCE_KERNELS_BDEPTHWISE_H_
 #define LCE_KERNELS_BDEPTHWISE_H_
 
@@ -37,33 +39,54 @@ struct BDepthwiseConv2DAttrs {
   // fusion, as in LceBConv2d). Empty means 1 / 0.
   std::vector<float> multiplier;
   std::vector<float> bias;
-  // Escape hatch for benchmarks and parity tests: run the legacy
-  // single-threaded full-image loop instead of the fused row-tile pipeline.
-  bool force_unfused = false;
+};
+
+// Bit-sliced counter over up to 15 taps: four bit-planes of 32 lane-wise
+// counters. Incrementing by the bits of `x` is a ripple-carry add of a
+// one-bit number into the 4-bit planes.
+struct BitSlicedCounter {
+  TBitpacked plane[4] = {0, 0, 0, 0};
+
+  inline void Add(TBitpacked x) {
+    TBitpacked carry = x;
+    for (int p = 0; p < 4 && carry != 0; ++p) {
+      const TBitpacked sum = plane[p] ^ carry;
+      carry &= plane[p];
+      plane[p] = sum;
+    }
+  }
+
+  inline int Count(int bit) const {
+    return static_cast<int>((plane[0] >> bit) & 1u) |
+           (static_cast<int>((plane[1] >> bit) & 1u) << 1) |
+           (static_cast<int>((plane[2] >> bit) & 1u) << 2) |
+           (static_cast<int>((plane[3] >> bit) & 1u) << 3);
+  }
 };
 
 class BDepthwiseConv2D {
  public:
+  // Output rows per pipeline tile. The kernel runs no BGEMM, so its tiling
+  // is its own: a BGEMM register-shape change must not re-tile it.
+  static constexpr int kTileRows = 4;
+
   // weights: float [filter_h][filter_w][channels] with +/-1 values.
   BDepthwiseConv2D(const float* weights, BDepthwiseConv2DAttrs attrs);
 
   // input: bitpacked NHWC; output: float NHWC.
-  // scratch usage: context slot 2 (fused path: per-shard row-tile
-  // accumulator); the legacy force_unfused path uses no scratch.
+  // scratch usage: context slot 2 (per-shard row-tile accumulator).
   void Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
            pipeline::ConvStageTimes* times = nullptr) const;
 
   const BDepthwiseConv2DAttrs& attrs() const { return attrs_; }
 
  private:
-  void RunUnfused(const Tensor& input, Tensor& output) const;
-
   friend class BDepthwiseTileCompute;
 
   BDepthwiseConv2DAttrs attrs_;
   // Bitpacked weights, [filter_h*filter_w][words(channels)].
   std::vector<TBitpacked> packed_weights_;
-  // Fused-path state, built once at construction: tap offsets, one-padding
+  // Pipeline state, built once at construction: tap offsets, one-padding
   // source row, interior/border tile classification and the shared float
   // output transform.
   gemm::IndirectionOffsets indirection_;

@@ -40,11 +40,13 @@ struct Conv2DInt8Attrs {
   // while the staged rows + accumulator still fit in L2. Exposed so
   // bench_int8_dotprod can sweep the weight-stationary blocking.
   int block_tiles = 64;
-  // Escape hatch for benchmarks and parity tests: run the legacy unfused
-  // pipeline (full-image im2col -> full-image accumulator -> requantize)
-  // instead of the fused row-tile pipeline.
-  bool force_unfused = false;
 };
+
+// The requantization policy attrs describes (fixed-point multipliers and
+// shifts from the input/weight/output scales, activation as a clamp);
+// `row_sums` are the packed weight matrix's per-channel sums.
+std::unique_ptr<pipeline::Int8RequantTransform> MakeInt8RequantTransform(
+    const Conv2DInt8Attrs& attrs, const std::int32_t* row_sums);
 
 class Conv2DInt8 {
  public:
@@ -57,9 +59,8 @@ class Conv2DInt8 {
   Conv2DInt8(const Conv2DInt8& base, Conv2DInt8Attrs attrs);
 
   // input: int8 NHWC; output: int8 NHWC.
-  // scratch usage: fused path: context slot 2 (per-shard A-panels + staging
-  // + row-tile accumulator); legacy path: slot 1 (im2col patches) and
-  // slot 2 (full-image accumulator).
+  // scratch usage: context slot 2 (per-shard A-panels + staging + row-tile
+  // accumulator).
   void Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
            pipeline::ConvStageTimes* times = nullptr) const;
 
@@ -76,13 +77,10 @@ class Conv2DInt8 {
     // Built alongside `matrix` at Compile() time; which layout a Run()
     // reads is the runtime tier selection's call.
     gemm::PackedInt8DotPanels dot_panels;
-    // Requantization policy (multipliers, shifts, activation clamp), shared
-    // verbatim by the fused and legacy paths.
+    // Requantization policy (multipliers, shifts, activation clamp).
     std::unique_ptr<pipeline::Int8RequantTransform> transform;
   };
 
-  void RunUnfused(const Tensor& input, Tensor& output, gemm::Context& ctx,
-                  const pipeline::OutputTransform& transform) const;
   // Builds the geometry-dependent per-variant state (pad value, indirection
   // cache, tile plan) -- the only setup a batch-variant sibling repeats.
   void InitGeometry();
@@ -95,7 +93,7 @@ class Conv2DInt8 {
   // Byte value padded taps read: the input zero point, so padding
   // contributes zero after offset subtraction.
   std::int8_t pad_value_ = 0;
-  // Fused-path state: byte-offset tap table (elems_per_pixel = in_c) and
+  // Pipeline state: byte-offset tap table (elems_per_pixel = in_c) and
   // the interior/border tile classification.
   gemm::IndirectionOffsets indirection_;
   pipeline::TilePlan tile_plan_;

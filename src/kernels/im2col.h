@@ -1,15 +1,10 @@
-// im2col: rearranges convolution input patches into GEMM LHS rows (paper
-// section 3.2, stage one of the legacy LceBConv2d and int8 convolution
-// paths; the float im2col lives with the float-conv oracle in
-// kernels/reference.h).
-//
-// Patch layout per output position: [filter_h][filter_w][channels], matching
-// OHWI weights flattened per output channel.
-//
-// The bitpacked variant fills spatially-padded locations with 0 words, which
-// encode +1.0 -- i.e. *one-padding* falls out of bitpacked im2col naturally.
-// Zero-padding for binary convolutions requires the correction step
-// implemented in bconv2d.cc.
+// im2col geometry: the shape of a convolution's GEMM LHS (paper section
+// 3.2) -- one patch row per output position, each patch laid out
+// [filter_h][filter_w][channels] to match OHWI weights flattened per output
+// channel. The production kernels gather these rows per tile through the
+// indirection cache (kernels/pipeline/gather_pack.h) and never materialize
+// the full matrix; the patch-materializing Im2Col* functions live with the
+// full-image oracles in kernels/reference.h.
 #ifndef LCE_KERNELS_IM2COL_H_
 #define LCE_KERNELS_IM2COL_H_
 
@@ -20,32 +15,15 @@
 
 namespace lce {
 
-// Int8: padded locations filled with `pad_value` (the input zero point, so
-// padding contributes zero after offset subtraction).
-void Im2ColInt8(const std::int8_t* input, const Conv2DGeometry& geo,
-                std::int8_t pad_value, std::int8_t* output);
-
-// Bitpacked: input is NHWC with channels packed into words(in_c) words.
-// Output: [batch*out_h*out_w][filter_h*filter_w*words(in_c)] words.
-// Padded locations are 0 words (+1.0 one-padding).
-void Im2ColBitpacked(const TBitpacked* input, const Conv2DGeometry& geo,
-                     TBitpacked* output);
-
-// Grouped variant: gathers only `word_count` words starting at `word_begin`
-// of each pixel's `total_words`-word channel vector (group boundaries must
-// fall on word boundaries). Output rows have filter_h*filter_w*word_count
-// words.
-void Im2ColBitpackedGroup(const TBitpacked* input, const Conv2DGeometry& geo,
-                          int total_words, int word_begin, int word_count,
-                          TBitpacked* output);
-
-// GEMM LHS geometry helpers.
+// Patch rows: one per output position.
 inline std::int64_t Im2ColRows(const Conv2DGeometry& g) {
   return static_cast<std::int64_t>(g.batch) * g.out_h() * g.out_w();
 }
+// Patch row length in elements (float / int8 inputs).
 inline int Im2ColDepthFloat(const Conv2DGeometry& g) {
   return g.filter_h * g.filter_w * g.in_c;
 }
+// Patch row length in bitpacked words.
 inline int Im2ColDepthBitpacked(const Conv2DGeometry& g) {
   return g.filter_h * g.filter_w * BitpackedWords(g.in_c);
 }

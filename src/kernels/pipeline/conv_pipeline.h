@@ -33,10 +33,8 @@ namespace lce::pipeline {
 
 // Wall-clock seconds spent in each stage of the last run; used by the
 // profiler for the Table 4 accumulation-loop vs output-transform breakdown.
-// (im2col covers any pre-stage: patch materialization or, for gather-based
-// variants, nothing.)
+// The gather runs inside each block, so it is part of `gemm`.
 struct ConvStageTimes {
-  double im2col = 0.0;
   double gemm = 0.0;
   double transform = 0.0;
 };
@@ -94,17 +92,13 @@ struct BasicConvPipelineArgs {
   const BasicRowCorrector<Acc>* corrector = nullptr;  // optional, border only
   const BasicOutputTransform<Acc>* transform = nullptr;  // required
   void* out = nullptr;  // start of the full output buffer
-  // Pre-stage (im2col) interval for stage attribution; both zero when the
-  // variant has no pre-stage or timing is off.
-  std::uint64_t pre_t0 = 0, pre_t1 = 0;
 };
 using ConvPipelineArgs = BasicConvPipelineArgs<std::int32_t>;
 using FloatConvPipelineArgs = BasicConvPipelineArgs<float>;
 
 // Runs the fused pipeline. Scratch: context slot 2 (per-shard compute
-// scratch + block accumulator; size independent of the image, unlike the
-// legacy full-image accumulator paths). Instantiated for int32 and float
-// accumulators.
+// scratch + block accumulator; size independent of the image, unlike a
+// full-image accumulator). Instantiated for int32 and float accumulators.
 template <typename Acc>
 void RunConvPipeline(const BasicConvPipelineArgs<Acc>& args,
                      gemm::Context& ctx, ConvStageTimes* times);

@@ -11,7 +11,7 @@
 //     group boundaries fall on word boundaries by construction.
 //   * GatherPackInt8       — byte gather into int8-GEMM A-panels with
 //     the maddubs +128 bias applied during packing (Conv2DInt8); padded
-//     taps read the input zero point, exactly like the legacy im2col.
+//     taps read the input zero point, exactly like Im2ColInt8.
 //   * GatherStageInt8Dot   — raw int8 patch rows for the dot-product tiers.
 //   * GatherPackFloat      — float gather into float-GEMM A-panels
 //     (full-precision Conv2D); padded taps read the padding value.

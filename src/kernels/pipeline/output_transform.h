@@ -14,8 +14,9 @@
 //     activation (full-precision Conv2D).
 //
 // The transforms are shared between the fused pipeline (per row-tile block)
-// and the legacy force_unfused paths (once over the full image), so both
-// paths are bit-identical by construction.
+// and the full-image oracles in kernels/reference.h (once over the whole
+// image), so the parity suites isolate the engine: gather, micro-kernel
+// blocking, tiling and threading.
 #ifndef LCE_KERNELS_PIPELINE_OUTPUT_TRANSFORM_H_
 #define LCE_KERNELS_PIPELINE_OUTPUT_TRANSFORM_H_
 

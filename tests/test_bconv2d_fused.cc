@@ -1,12 +1,12 @@
 // Fused row-tile BConv2D pipeline tests.
 //
-// The fused path (the default for groups == 1) must be bit-identical to the
-// float reference for every geometry class -- pointwise, grouped, one- and
+// The fused path (BConv2D's only path) must be bit-identical to the float
+// reference for every geometry class -- pointwise, grouped, one- and
 // zero-padded, strided, odd channel counts -- single- and multi-threaded,
-// for both the im2col and the cached-indirection A-panel sources. On top of
-// the value parity, these tests pin down the resource contract: no
-// full-image accumulator in scratch slot 2, no im2col patch buffer on the
-// indirect path, and the `bconv2d.fused_tiles` telemetry counter.
+// and to the full-image im2col + BGEMM oracle in kernels/reference.h for
+// every output type. On top of the value parity, these tests pin down the
+// resource contract: no full-image accumulator in scratch slot 2, no im2col
+// patch buffer in slot 1, and the `bconv2d.fused_tiles` telemetry counter.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -109,23 +109,18 @@ TEST_P(FusedParity, BitExactVsReference) {
                                 hw * 131 + in_c * 7 + out_c + k + stride);
   const auto expected = Reference(p);
 
-  for (const bool indirect : {false, true}) {
-    if (indirect && groups > 1) continue;  // indirect requires groups == 1
-    BConv2DAttrs attrs;
-    attrs.geo = p.geo;
-    attrs.groups = groups;
-    attrs.output_type = BConvOutputType::kFloat;
-    attrs.use_indirect_bgemm = indirect;
-    BConv2D op(p.weights.data(), attrs);
+  BConv2DAttrs attrs;
+  attrs.geo = p.geo;
+  attrs.groups = groups;
+  attrs.output_type = BConvOutputType::kFloat;
+  BConv2D op(p.weights.data(), attrs);
 
-    Tensor out(DataType::kFloat32,
-               Shape{1, p.geo.out_h(), p.geo.out_w(), out_c});
-    gemm::Context ctx(threads);
-    op.Run(p.input_packed, out, ctx);
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(out.data<float>()[i], expected[i])
-          << (indirect ? "indirect" : "im2col") << " element " << i;
-    }
+  Tensor out(DataType::kFloat32,
+             Shape{1, p.geo.out_h(), p.geo.out_w(), out_c});
+  gemm::Context ctx(threads);
+  op.Run(p.input_packed, out, ctx);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(out.data<float>()[i], expected[i]) << "element " << i;
   }
 }
 
@@ -158,42 +153,36 @@ std::vector<FusedCase> FusedSweep() {
 INSTANTIATE_TEST_SUITE_P(GeometrySweep, FusedParity,
                          ::testing::ValuesIn(FusedSweep()));
 
-TEST(BConvFused, MatchesForcedUnfusedPath) {
-  // The fused pipeline and the legacy full-image pipeline are two
+TEST(BConvFused, MatchesIm2ColOracle) {
+  // The fused pipeline and the full-image im2col + BGEMM oracle are two
   // implementations of one operator; their outputs must be bit-identical,
-  // including the indirect-vs-im2col pairing under zero padding.
+  // including the zero-padding correction.
   const Problem p =
       MakeProblem(12, 72, 40, 3, 2, Padding::kSameZero, 1, 2026);
   const auto expected = Reference(p);
-  for (const bool indirect : {false, true}) {
-    for (const int threads : {1, 4}) {
-      BConv2DAttrs attrs;
-      attrs.geo = p.geo;
-      attrs.output_type = BConvOutputType::kFloat;
-      attrs.use_indirect_bgemm = indirect;
-      BConv2D fused(p.weights.data(), attrs);
-      attrs.force_unfused = true;
-      BConv2D unfused(p.weights.data(), attrs);
-
-      Tensor out_fused(DataType::kFloat32,
-                       Shape{1, p.geo.out_h(), p.geo.out_w(), p.geo.out_c});
-      Tensor out_unfused(DataType::kFloat32, out_fused.shape());
-      gemm::Context ctx(threads);
-      fused.Run(p.input_packed, out_fused, ctx);
-      unfused.Run(p.input_packed, out_unfused, ctx);
-      for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
-        ASSERT_EQ(out_fused.data<float>()[i], out_unfused.data<float>()[i])
-            << (indirect ? "indirect" : "im2col") << " threads=" << threads
-            << " element " << i;
-      }
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(out_fused.data<float>()[i], expected[i]) << i;
-      }
+  BConv2DAttrs attrs;
+  attrs.geo = p.geo;
+  attrs.output_type = BConvOutputType::kFloat;
+  BConv2D fused(p.weights.data(), attrs);
+  const RefBConv2DIm2ColBGemm oracle(p.weights.data(), attrs);
+  for (const int threads : {1, 4}) {
+    Tensor out_fused(DataType::kFloat32,
+                     Shape{1, p.geo.out_h(), p.geo.out_w(), p.geo.out_c});
+    Tensor out_oracle(DataType::kFloat32, out_fused.shape());
+    gemm::Context ctx(threads);
+    fused.Run(p.input_packed, out_fused, ctx);
+    oracle.Run(p.input_packed, out_oracle, ctx);
+    for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
+      ASSERT_EQ(out_fused.data<float>()[i], out_oracle.data<float>()[i])
+          << "threads=" << threads << " element " << i;
+    }
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(out_fused.data<float>()[i], expected[i]) << i;
     }
   }
 }
 
-TEST(BConvFused, BitpackedOutputMatchesUnfused) {
+TEST(BConvFused, BitpackedOutputMatchesOracle) {
   const Problem p = MakeProblem(7, 40, 48, 3, 1, Padding::kSameOne, 1, 99);
   Rng rng(100);
   std::vector<float> mult(48), bias(48);
@@ -207,41 +196,38 @@ TEST(BConvFused, BitpackedOutputMatchesUnfused) {
   attrs.pre_activation = Activation::kRelu;
   attrs.multiplier = mult;
   attrs.bias = bias;
-  attrs.use_indirect_bgemm = true;
   BConv2D fused(p.weights.data(), attrs);
-  attrs.force_unfused = true;
-  BConv2D unfused(p.weights.data(), attrs);
+  const RefBConv2DIm2ColBGemm oracle(p.weights.data(), attrs);
 
   Tensor out_fused(DataType::kBitpacked, Shape{1, 7, 7, 48});
-  Tensor out_unfused(DataType::kBitpacked, out_fused.shape());
+  Tensor out_oracle(DataType::kBitpacked, out_fused.shape());
   gemm::Context ctx(4);
   fused.Run(p.input_packed, out_fused, ctx);
-  unfused.Run(p.input_packed, out_unfused, ctx);
+  oracle.Run(p.input_packed, out_oracle, ctx);
   const std::int64_t words = Im2ColRows(p.geo) * BitpackedWords(p.geo.out_c);
   for (std::int64_t i = 0; i < words; ++i) {
     ASSERT_EQ(out_fused.data<TBitpacked>()[i],
-              out_unfused.data<TBitpacked>()[i])
+              out_oracle.data<TBitpacked>()[i])
         << i;
   }
 }
 
-TEST(BConvFused, Int32OutputMatchesUnfused) {
+TEST(BConvFused, Int32OutputMatchesOracle) {
   const Problem p = MakeProblem(6, 96, 24, 3, 1, Padding::kSameZero, 1, 123);
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
   attrs.output_type = BConvOutputType::kInt32;
   BConv2D fused(p.weights.data(), attrs);
-  attrs.force_unfused = true;
-  BConv2D unfused(p.weights.data(), attrs);
+  const RefBConv2DIm2ColBGemm oracle(p.weights.data(), attrs);
 
   Tensor out_fused(DataType::kInt32, Shape{1, 6, 6, 24});
-  Tensor out_unfused(DataType::kInt32, out_fused.shape());
+  Tensor out_oracle(DataType::kInt32, out_fused.shape());
   gemm::Context ctx(2);
   fused.Run(p.input_packed, out_fused, ctx);
-  unfused.Run(p.input_packed, out_unfused, ctx);
+  oracle.Run(p.input_packed, out_oracle, ctx);
   for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
     ASSERT_EQ(out_fused.data<std::int32_t>()[i],
-              out_unfused.data<std::int32_t>()[i])
+              out_oracle.data<std::int32_t>()[i])
         << i;
   }
 }
@@ -256,7 +242,6 @@ TEST(BConvFused, NoFullImageAccumulatorInScratch) {
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
   attrs.output_type = BConvOutputType::kFloat;
-  attrs.use_indirect_bgemm = true;
   BConv2D fused(p.weights.data(), attrs);
   Tensor out(DataType::kFloat32, Shape{1, 32, 32, 64});
 
@@ -271,49 +256,39 @@ TEST(BConvFused, NoFullImageAccumulatorInScratch) {
   EXPECT_LT(fused_slot2, full_acc_bytes / 4)
       << "fused path still allocates an image-sized accumulator";
 
-  // The legacy path, by contrast, must show the full-image allocation.
+  // The full-image oracle, by contrast, must show the full-image allocation.
   registry.Reset();
-  attrs.force_unfused = true;
-  BConv2D unfused(p.weights.data(), attrs);
+  const RefBConv2DIm2ColBGemm oracle(p.weights.data(), attrs);
   {
     gemm::Context ctx(1);
-    unfused.Run(p.input_packed, out, ctx);
+    oracle.Run(p.input_packed, out, ctx);
   }
   EXPECT_GE(GaugeValue("gemm.scratch_bytes.slot2"), full_acc_bytes);
 }
 
-TEST(BConvFused, IndirectPathSkipsIm2ColScratch) {
-  // Regression test: the indirect path used to allocate the full im2col
-  // patch buffer (and bump its gauge) without ever writing to it.
+TEST(BConvFused, SkipsIm2ColScratch) {
+  // The gather replaces im2col: the kernel never touches the slot-1 patch
+  // buffer.
   const Problem p = MakeProblem(16, 64, 32, 3, 1, Padding::kSameOne, 1, 11);
   Tensor out(DataType::kFloat32, Shape{1, 16, 16, 32});
   auto& registry = telemetry::MetricsRegistry::Global();
 
-  for (const bool unfused : {false, true}) {
-    BConv2DAttrs attrs;
-    attrs.geo = p.geo;
-    attrs.output_type = BConvOutputType::kFloat;
-    attrs.use_indirect_bgemm = true;
-    attrs.force_unfused = unfused;
-    BConv2D op(p.weights.data(), attrs);
-    registry.Reset();
-    gemm::Context ctx(1);
-    op.Run(p.input_packed, out, ctx);
-    EXPECT_EQ(GaugeValue("bconv2d.im2col_bytes"), 0)
-        << (unfused ? "unfused" : "fused");
-    EXPECT_EQ(GaugeValue("gemm.scratch_bytes.slot1"), 0)
-        << (unfused ? "unfused" : "fused");
-  }
-
-  // Sanity: the im2col variant does touch both.
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
   attrs.output_type = BConvOutputType::kFloat;
   BConv2D op(p.weights.data(), attrs);
   registry.Reset();
+  {
+    gemm::Context ctx(1);
+    op.Run(p.input_packed, out, ctx);
+  }
+  EXPECT_EQ(GaugeValue("gemm.scratch_bytes.slot1"), 0);
+
+  // Sanity: the im2col oracle does touch it.
+  const RefBConv2DIm2ColBGemm oracle(p.weights.data(), attrs);
+  registry.Reset();
   gemm::Context ctx(1);
-  op.Run(p.input_packed, out, ctx);
-  EXPECT_GT(GaugeValue("bconv2d.im2col_bytes"), 0);
+  oracle.Run(p.input_packed, out, ctx);
   EXPECT_GT(GaugeValue("gemm.scratch_bytes.slot1"), 0);
 }
 
@@ -322,7 +297,6 @@ TEST(BConvFused, FusedTilesCounter) {
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
   attrs.output_type = BConvOutputType::kFloat;
-  attrs.use_indirect_bgemm = true;
   BConv2D op(p.weights.data(), attrs);
   Tensor out(DataType::kFloat32, Shape{1, 8, 8, 32});
 
@@ -338,26 +312,18 @@ TEST(BConvFused, FusedTilesCounter) {
 
 TEST(BConvFused, StageTimesSurviveFusion) {
   // The Table 4 stage split must keep flowing from the fused pipeline: the
-  // gemm share is reconstructed from per-shard busy time, im2col reflects
-  // the actual patch copy (zero on the indirect path).
+  // gemm share is reconstructed from per-shard busy time.
   const Problem p = MakeProblem(16, 64, 64, 3, 1, Padding::kSameOne, 1, 21);
   Tensor out(DataType::kFloat32, Shape{1, 16, 16, 64});
 
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
   attrs.output_type = BConvOutputType::kFloat;
-  BConv2D im2col_op(p.weights.data(), attrs);
-  attrs.use_indirect_bgemm = true;
-  BConv2D indirect_op(p.weights.data(), attrs);
+  BConv2D op(p.weights.data(), attrs);
 
   gemm::Context ctx(2);
   BConvStageTimes times;
-  im2col_op.Run(p.input_packed, out, ctx, &times);
-  EXPECT_GT(times.im2col, 0.0);
-  EXPECT_GT(times.gemm, 0.0);
-  EXPECT_GT(times.transform, 0.0);
-
-  indirect_op.Run(p.input_packed, out, ctx, &times);
+  op.Run(p.input_packed, out, ctx, &times);
   EXPECT_GT(times.gemm, 0.0);
   EXPECT_GT(times.transform, 0.0);
 }

@@ -18,6 +18,7 @@
 #include "kernels/im2col.h"
 #include "kernels/pipeline/gather_pack.h"
 #include "kernels/pipeline/tile_plan.h"
+#include "kernels/reference.h"
 
 namespace lce {
 namespace {

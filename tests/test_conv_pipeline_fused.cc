@@ -1,10 +1,11 @@
-// Fused-vs-legacy bit-exactness for the ConvPipeline variants that joined
+// Fused-vs-oracle bit-exactness for the ConvPipeline variants that joined
 // the shared engine after BConv2D: binary depthwise, grouped binary, and
 // int8. Each variant's fused row-tile execution must be bit-identical to
-// its force_unfused legacy pipeline (which in turn is covered against the
-// float/dequantized references by the per-kernel suites), single- and
-// multi-threaded. The per-variant `*.fused_tiles` / `*.interior_tiles`
-// telemetry and the bconv2d fallback tripwire are pinned down here too.
+// its full-image oracle in kernels/reference.h (the retired unfused
+// pipeline, which in turn is covered against the float/dequantized
+// references by the per-kernel suites), single- and multi-threaded. The
+// per-variant `*.fused_tiles` / `*.interior_tiles` telemetry is pinned down
+// here too.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,11 +13,11 @@
 
 #include "core/bitpack.h"
 #include "core/random.h"
-#include "gemm/bgemm.h"
 #include "kernels/bconv2d.h"
 #include "kernels/bdepthwise.h"
 #include "kernels/conv2d_int8.h"
 #include "kernels/im2col.h"
+#include "kernels/reference.h"
 #include "telemetry/metrics.h"
 
 namespace lce {
@@ -37,7 +38,7 @@ struct DepthwiseCase {
 
 class DepthwiseFusedParity : public ::testing::TestWithParam<DepthwiseCase> {};
 
-TEST_P(DepthwiseFusedParity, FusedMatchesLegacy) {
+TEST_P(DepthwiseFusedParity, FusedMatchesOracle) {
   const DepthwiseCase c = GetParam();
   Conv2DGeometry geo;
   geo.in_h = geo.in_w = c.hw;
@@ -62,21 +63,17 @@ TEST_P(DepthwiseFusedParity, FusedMatchesLegacy) {
   attrs.multiplier = mult;
   attrs.bias = bias;
   BDepthwiseConv2D fused(w.data(), attrs);
-  attrs.force_unfused = true;
-  BDepthwiseConv2D legacy(w.data(), attrs);
+  const RefBDepthwiseConv2D oracle(w.data(), attrs);
 
-  Tensor out_legacy(DataType::kFloat32,
+  Tensor out_oracle(DataType::kFloat32,
                     Shape{1, geo.out_h(), geo.out_w(), c.channels});
-  {
-    gemm::Context ctx(1);
-    legacy.Run(in_b, out_legacy, ctx);
-  }
+  oracle.Run(in_b, out_oracle);
   for (const int threads : {1, 4}) {
-    Tensor out_fused(DataType::kFloat32, out_legacy.shape());
+    Tensor out_fused(DataType::kFloat32, out_oracle.shape());
     gemm::Context ctx(threads);
     fused.Run(in_b, out_fused, ctx);
     for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
-      ASSERT_EQ(out_fused.data<float>()[i], out_legacy.data<float>()[i])
+      ASSERT_EQ(out_fused.data<float>()[i], out_oracle.data<float>()[i])
           << "threads=" << threads << " element " << i;
     }
   }
@@ -111,7 +108,8 @@ TEST(DepthwiseFused, TileCountersAdvance) {
   Tensor out(DataType::kFloat32, Shape{1, 12, 12, 32});
 
   const std::int64_t rows = Im2ColRows(geo);
-  const std::int64_t m_tiles = (rows + gemm::kBgemmMr - 1) / gemm::kBgemmMr;
+  const std::int64_t m_tiles = (rows + BDepthwiseConv2D::kTileRows - 1) /
+                               BDepthwiseConv2D::kTileRows;
   telemetry::MetricsRegistry::Global().Reset();
   gemm::Context ctx(2);
   op.Run(in_b, out, ctx);
@@ -132,7 +130,7 @@ struct GroupedCase {
 
 class GroupedFusedParity : public ::testing::TestWithParam<GroupedCase> {};
 
-TEST_P(GroupedFusedParity, FusedMatchesLegacy) {
+TEST_P(GroupedFusedParity, FusedMatchesOracle) {
   const GroupedCase c = GetParam();
   Conv2DGeometry geo;
   geo.in_h = geo.in_w = c.hw;
@@ -160,25 +158,24 @@ TEST_P(GroupedFusedParity, FusedMatchesLegacy) {
   attrs.multiplier = mult;
   attrs.bias = bias;
   BConv2D fused(w.data(), attrs);
-  attrs.force_unfused = true;
-  BConv2D legacy(w.data(), attrs);
+  const RefBConv2DIm2ColBGemm oracle(w.data(), attrs);
 
   const DataType out_dtype = c.output == BConvOutputType::kBitpacked
                                  ? DataType::kBitpacked
                                  : DataType::kFloat32;
-  Tensor out_legacy(out_dtype, Shape{1, geo.out_h(), geo.out_w(), c.out_c});
+  Tensor out_oracle(out_dtype, Shape{1, geo.out_h(), geo.out_w(), c.out_c});
   {
     gemm::Context ctx(1);
-    legacy.Run(in_b, out_legacy, ctx);
+    oracle.Run(in_b, out_oracle, ctx);
   }
   telemetry::MetricsRegistry::Global().Reset();
   for (const int threads : {1, 4}) {
-    Tensor out_fused(out_dtype, out_legacy.shape());
+    Tensor out_fused(out_dtype, out_oracle.shape());
     gemm::Context ctx(threads);
     fused.Run(in_b, out_fused, ctx);
     if (out_dtype == DataType::kFloat32) {
       for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
-        ASSERT_EQ(out_fused.data<float>()[i], out_legacy.data<float>()[i])
+        ASSERT_EQ(out_fused.data<float>()[i], out_oracle.data<float>()[i])
             << "threads=" << threads << " element " << i;
       }
     } else {
@@ -186,15 +183,13 @@ TEST_P(GroupedFusedParity, FusedMatchesLegacy) {
           Im2ColRows(geo) * BitpackedWords(geo.out_c);
       for (std::int64_t i = 0; i < words; ++i) {
         ASSERT_EQ(out_fused.data<TBitpacked>()[i],
-                  out_legacy.data<TBitpacked>()[i])
+                  out_oracle.data<TBitpacked>()[i])
             << "threads=" << threads << " word " << i;
       }
     }
   }
-  // Grouped runs now go through the fused engine: tiles counted, no silent
-  // fallback (the legacy runs above were explicitly forced).
+  // Grouped runs go through the fused engine: tiles counted.
   EXPECT_GT(CounterValue("bconv2d.fused_tiles"), 0);
-  EXPECT_EQ(CounterValue("bconv2d.fallback_unfused"), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -214,35 +209,6 @@ INSTANTIATE_TEST_SUITE_P(
                     BConvOutputType::kBitpacked},
         GroupedCase{6, 96, 36, 3, 1, Padding::kValid,
                     BConvOutputType::kFloat}));
-
-TEST(GroupedFused, ForcedUnfusedCounterAdvances) {
-  Conv2DGeometry geo;
-  geo.in_h = geo.in_w = 6;
-  geo.in_c = 64;
-  geo.out_c = 16;
-  geo.filter_h = geo.filter_w = 3;
-  geo.padding = Padding::kSameOne;
-
-  Rng rng(8);
-  Tensor in_b(DataType::kBitpacked, Shape{1, 6, 6, 64});
-  FillBitpacked(in_b, rng);
-  std::vector<float> w(static_cast<std::size_t>(16) * 9 * 32, 1.0f);
-
-  BConv2DAttrs attrs;
-  attrs.geo = geo;
-  attrs.groups = 2;
-  attrs.force_unfused = true;
-  BConv2D op(w.data(), attrs);
-  Tensor out(DataType::kFloat32, Shape{1, 6, 6, 16});
-
-  telemetry::MetricsRegistry::Global().Reset();
-  gemm::Context ctx(1);
-  op.Run(in_b, out, ctx);
-  EXPECT_EQ(CounterValue("bconv2d.forced_unfused"), 1);
-  // Explicitly forced runs are not fallbacks.
-  EXPECT_EQ(CounterValue("bconv2d.fallback_unfused"), 0);
-  EXPECT_EQ(CounterValue("bconv2d.fused_tiles"), 0);
-}
 
 // ---------------------------------------------------------------------------
 // Int8 convolution
@@ -270,7 +236,7 @@ std::vector<gemm::Int8Tier> AvailableInt8Tiers() {
 
 class Int8FusedParity : public ::testing::TestWithParam<Int8Case> {};
 
-TEST_P(Int8FusedParity, FusedMatchesLegacy) {
+TEST_P(Int8FusedParity, FusedMatchesOracle) {
   const Int8Case c = GetParam();
   Conv2DGeometry geo;
   geo.in_h = geo.in_w = c.hw;
@@ -294,7 +260,7 @@ TEST_P(Int8FusedParity, FusedMatchesLegacy) {
   attrs.weight_quant = {0.005f, 0};
   // A small output scale pushes many accumulators past +/-127, so the
   // requantization rounding and clamping at the saturation boundaries is
-  // exercised on both paths.
+  // exercised on both sides.
   attrs.output_quant = {c.out_scale, -4};
   attrs.bias.resize(c.out_c);
   for (auto& v : attrs.bias) {
@@ -306,26 +272,25 @@ TEST_P(Int8FusedParity, FusedMatchesLegacy) {
   }
   attrs.block_tiles = c.block_tiles;
   Conv2DInt8 fused(w.data(), attrs);
-  attrs.force_unfused = true;
-  Conv2DInt8 legacy(w.data(), attrs);
+  const RefConv2DInt8Im2ColGemm oracle(w.data(), attrs);
 
-  Tensor out_legacy(DataType::kInt8,
+  Tensor out_oracle(DataType::kInt8,
                     Shape{1, geo.out_h(), geo.out_w(), c.out_c});
   {
     gemm::Context ctx(1);
-    legacy.Run(in, out_legacy, ctx);
+    oracle.Run(in, out_oracle, ctx);
   }
-  // Every tier selectable on this machine must reproduce the legacy
-  // widened path byte-for-byte, single- and multi-threaded.
+  // Every tier selectable on this machine must reproduce the im2col +
+  // widened-GEMM oracle byte-for-byte, single- and multi-threaded.
   for (const gemm::Int8Tier tier : AvailableInt8Tiers()) {
     gemm::SetInt8TierOverrideForTest(static_cast<int>(tier));
     for (const int threads : {1, 4}) {
-      Tensor out_fused(DataType::kInt8, out_legacy.shape());
+      Tensor out_fused(DataType::kInt8, out_oracle.shape());
       gemm::Context ctx(threads);
       fused.Run(in, out_fused, ctx);
       for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
         ASSERT_EQ(out_fused.data<std::int8_t>()[i],
-                  out_legacy.data<std::int8_t>()[i])
+                  out_oracle.data<std::int8_t>()[i])
             << "tier=" << gemm::Int8TierName(tier) << " threads=" << threads
             << " element " << i;
       }
@@ -384,7 +349,7 @@ TEST(Int8Fused, TileCountersAdvance) {
 // Adversarial saturation property test at the convolution level: weights
 // and activations drawn only from {-128, -127, +127}, so a saturating
 // vpmaddubsw pairwise sum (or a bias/rowsum bookkeeping slip) in any tier
-// diverges from the exact widened-dot legacy path. Padding is exercised
+// diverges from the exact widened-dot oracle. Padding is exercised
 // too (kSameZero with a nonzero input zero point). `block_tiles` sets the
 // fused block size (row tails of the 8-row VNNI block); `per_channel`
 // draws per-channel weight scales.
@@ -411,22 +376,21 @@ void CheckExtremeValueTierParity(const Conv2DGeometry& geo, int block_tiles,
   }
   attrs.block_tiles = block_tiles;
   Conv2DInt8 fused(w.data(), attrs);
-  attrs.force_unfused = true;
-  Conv2DInt8 legacy(w.data(), attrs);
+  const RefConv2DInt8Im2ColGemm oracle(w.data(), attrs);
 
-  Tensor out_legacy(DataType::kInt8,
+  Tensor out_oracle(DataType::kInt8,
                     Shape{1, geo.out_h(), geo.out_w(), geo.out_c});
   {
     gemm::Context ctx(1);
-    legacy.Run(in, out_legacy, ctx);
+    oracle.Run(in, out_oracle, ctx);
   }
   for (const gemm::Int8Tier tier : AvailableInt8Tiers()) {
     gemm::SetInt8TierOverrideForTest(static_cast<int>(tier));
     for (const int threads : {1, 4}) {
-      Tensor out(DataType::kInt8, out_legacy.shape());
+      Tensor out(DataType::kInt8, out_oracle.shape());
       gemm::Context ctx(threads);
       fused.Run(in, out, ctx);
-      EXPECT_EQ(std::memcmp(out.raw_data(), out_legacy.raw_data(),
+      EXPECT_EQ(std::memcmp(out.raw_data(), out_oracle.raw_data(),
                             static_cast<std::size_t>(out.num_elements())),
                 0)
           << "tier=" << gemm::Int8TierName(tier) << " threads=" << threads;

@@ -1,14 +1,9 @@
-// Indirect BGEMM unit tests: the pointer-indirection convolution against
-// the reference dot product and the im2col path.
+// Indirection-table unit tests: the geometry-only offsets the fused
+// convolution gathers read (the gathered rows themselves are checked word
+// for word against im2col in test_conv_pipeline.cc).
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "core/bitpack.h"
-#include "core/random.h"
-#include "gemm/bgemm.h"
 #include "gemm/indirect_bgemm.h"
-#include "kernels/im2col.h"
 
 namespace lce::gemm {
 namespace {
@@ -23,79 +18,23 @@ Conv2DGeometry MakeGeo(int hw, int c, int k, int stride, Padding pad) {
   return g;
 }
 
-TEST(IndirectionBuffer, PaddedTapsPointAtZeroRow) {
-  const auto g = MakeGeo(4, 32, 3, 1, Padding::kSameOne);
-  std::vector<TBitpacked> input(16, 0xffffffffu);
-  IndirectionBuffer ind(input.data(), g);
+TEST(IndirectionOffsets, PaddedTapsAreSentinels) {
+  const IndirectionOffsets ind(MakeGeo(4, 32, 3, 1, Padding::kSameOne));
   EXPECT_EQ(ind.rows(), 16);
   EXPECT_EQ(ind.taps(), 9);
   EXPECT_EQ(ind.words(), 1);
-  // Output (0,0), tap (0,0) reads (-1,-1): must be the zero row (+1.0).
-  EXPECT_EQ(ind.data()[0][0], 0u);
-  // Tap (1,1) reads (0,0): the real input word.
-  EXPECT_EQ(ind.data()[4][0], 0xffffffffu);
-  EXPECT_EQ(ind.data()[4], input.data());
+  // Output (0,0), tap (0,0) reads (-1,-1): spatial padding.
+  EXPECT_EQ(ind.row(0)[0], IndirectionOffsets::kPaddedTap);
+  // Tap (1,1) reads (0,0): the first input word.
+  EXPECT_EQ(ind.row(0)[4], 0);
 }
 
-TEST(IndirectionBuffer, StridedTapsPointAtStridedPixels) {
-  const auto g = MakeGeo(8, 32, 3, 2, Padding::kValid);
-  std::vector<TBitpacked> input(64);
-  for (int i = 0; i < 64; ++i) input[i] = static_cast<TBitpacked>(i);
-  IndirectionBuffer ind(input.data(), g);
+TEST(IndirectionOffsets, StridedTapsPointAtStridedPixels) {
+  const IndirectionOffsets ind(MakeGeo(8, 32, 3, 2, Padding::kValid));
   ASSERT_EQ(ind.rows(), 9);  // (8-3)/2+1 = 3 per axis
   // Output (1,1) tap (0,0) reads input pixel (2,2) = word 18.
-  EXPECT_EQ(ind.data()[(1 * 3 + 1) * 9 + 0][0], 18u);
+  EXPECT_EQ(ind.row(1 * 3 + 1)[0], 18);
 }
-
-class IndirectVsPackedBGemm
-    : public ::testing::TestWithParam<std::tuple<int, int, int, Padding>> {};
-
-TEST_P(IndirectVsPackedBGemm, SameResults) {
-  const auto [hw, c, stride, pad] = GetParam();
-  const auto g = MakeGeo(hw, c, 3, stride, pad);
-  Rng rng(hw + c + stride);
-  const int words = BitpackedWords(c);
-  std::vector<TBitpacked> input(static_cast<std::size_t>(hw) * hw * words);
-  for (auto& v : input) v = static_cast<TBitpacked>(rng.Next());
-  const int rem = c % kBitpackWordSize;
-  if (rem != 0) {
-    for (std::size_t i = words - 1; i < input.size(); i += words) {
-      input[i] &= (TBitpacked{1} << rem) - 1;
-    }
-  }
-  const int k_bits = 9 * c;
-  std::vector<TBitpacked> weights(static_cast<std::size_t>(c) * 9 * words);
-  for (auto& v : weights) v = static_cast<TBitpacked>(rng.Next());
-  if (rem != 0) {
-    for (std::size_t i = words - 1; i < weights.size(); i += words) {
-      weights[i] &= (TBitpacked{1} << rem) - 1;
-    }
-  }
-
-  // Packed path: im2col + BGemm.
-  const std::int64_t rows = Im2ColRows(g);
-  std::vector<TBitpacked> patches(rows * Im2ColDepthBitpacked(g));
-  Im2ColBitpacked(input.data(), g, patches.data());
-  std::vector<std::int32_t> packed_out(rows * c);
-  Context ctx(1);
-  BGemm(patches.data(), static_cast<int>(rows), weights.data(), c, 9 * words,
-        k_bits, packed_out.data(), c, ctx);
-
-  // Indirect path.
-  IndirectionBuffer ind(input.data(), g);
-  std::vector<std::int32_t> indirect_out(rows * c);
-  IndirectBGemm(ind, weights.data(), c, k_bits, indirect_out.data(), c);
-
-  EXPECT_EQ(packed_out, indirect_out);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, IndirectVsPackedBGemm,
-    ::testing::Values(std::make_tuple(6, 32, 1, Padding::kSameOne),
-                      std::make_tuple(6, 40, 1, Padding::kSameOne),
-                      std::make_tuple(8, 64, 2, Padding::kSameOne),
-                      std::make_tuple(7, 96, 1, Padding::kValid),
-                      std::make_tuple(9, 33, 2, Padding::kValid)));
 
 }  // namespace
 }  // namespace lce::gemm
