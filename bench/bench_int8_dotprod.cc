@@ -4,10 +4,10 @@
 // weight-stationary blocking factor (Conv2DInt8Attrs::block_tiles).
 //
 // All tiers run the same fused row-tile pipeline on the same prepared
-// kernels; the widened tier is the baseline the dot-product tiers must
-// retire (the pre-dot fused path measured ~1.01x over legacy -- the
-// plateau). Samples are interleaved round-robin across tiers so drift on
-// a shared host hits every tier equally; per-tier medians are reported.
+// kernels (one packed weight layout); the portable scalar tier, which
+// every build has, is the baseline. Samples are interleaved round-robin
+// across tiers so drift on a shared host hits every tier equally;
+// per-tier medians are reported.
 //
 // The committed BENCH_int8_dotprod.json at the repo root is this report
 // (Release, --json=...) plus a `before` section from the previous commit
@@ -28,9 +28,9 @@ namespace {
 using namespace lce;
 using namespace lce::bench;
 
-// Widened baseline first: speedups below are relative to tiers[0].
+// Scalar baseline first: speedups below are relative to tiers[0].
 std::vector<gemm::Int8Tier> SweptTiers() {
-  std::vector<gemm::Int8Tier> tiers = {gemm::Int8Tier::kWidened};
+  std::vector<gemm::Int8Tier> tiers = {gemm::Int8Tier::kScalar};
   for (gemm::Int8Tier t :
        {gemm::Int8Tier::kAvx2Dot, gemm::Int8Tier::kNeonDot,
         gemm::Int8Tier::kVnni}) {
@@ -182,14 +182,14 @@ int main(int argc, char** argv) {
       if (i > 0) {
         report.AddResult(std::string("int8_dotprod.") +
                              gemm::Int8TierName(tiers[i]) +
-                             "_vs_widened." + shape,
+                             "_vs_scalar." + shape,
                          ms[i] > 0 ? ms[0] / ms[i] : 0.0);
       }
       if (ms[i] < best_ms) best_ms = ms[i];
     }
     const double best_speedup = best_ms > 0 ? ms[0] / best_ms : 0.0;
     std::printf(" %13.2fx\n", best_speedup);
-    report.AddResult(std::string("int8_dotprod.best_vs_widened.") + shape,
+    report.AddResult(std::string("int8_dotprod.best_vs_scalar.") + shape,
                      best_speedup);
     if (best_speedup > 0) {
       log_best_speedup += std::log(best_speedup);
@@ -198,8 +198,8 @@ int main(int argc, char** argv) {
   }
   const double geomean =
       n_shapes > 0 ? std::exp(log_best_speedup / n_shapes) : 0.0;
-  std::printf("\n  geomean best-tier vs widened: %.2fx\n\n", geomean);
-  report.AddResult("int8_dotprod.geomean_best_vs_widened", geomean);
+  std::printf("\n  geomean best-tier vs scalar: %.2fx\n\n", geomean);
+  report.AddResult("int8_dotprod.geomean_best_vs_scalar", geomean);
 
   // Weight-stationary blocking sweep for the best tier: how many row
   // tiles share one residency of the packed RHS panels before it is

@@ -62,24 +62,28 @@ void BM_FloatGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_FloatGemm);
 
-void BM_Int8Gemm(benchmark::State& state) {
+void BM_Int8DotGemm(benchmark::State& state) {
   Rng rng(3);
   std::vector<std::int8_t> lhs(static_cast<std::size_t>(kM) * kK);
   std::vector<std::int8_t> rhs(static_cast<std::size_t>(kN) * kK);
   for (auto& v : lhs) v = rng.Int8();
   for (auto& v : rhs) v = rng.Int8();
-  gemm::PackedInt8Matrix packed(rhs.data(), kN, kK);
+  // kK is a multiple of the 4-byte K-group, so the rows need no padding.
+  static_assert(kK % gemm::kInt8DotKg == 0);
+  gemm::PackedInt8DotPanels panels(rhs.data(), kN, kK);
+  const gemm::Int8Tier tier = gemm::SelectInt8Tier();
   std::vector<std::int32_t> out(static_cast<std::size_t>(kM) * kN);
-  gemm::Context ctx(1);
   for (auto _ : state) {
-    gemm::Int8Gemm(lhs.data(), kM, packed, out.data(), kN, ctx);
+    gemm::Int8DotComputeBlock(lhs.data(), kK, panels, tier, kM, out.data(),
+                              kN);
     benchmark::DoNotOptimize(out.data());
   }
+  state.SetLabel(gemm::Int8TierName(tier));
   state.counters["GMAC/s"] = benchmark::Counter(
       static_cast<double>(kM) * kN * kK * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Int8Gemm);
+BENCHMARK(BM_Int8DotGemm);
 
 void BM_LceQuantize(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -18,7 +18,7 @@ int PopCount3(std::uint8_t mask) {
 }  // namespace
 
 // SIMD integer multiply-adds issue on ports 0 and 1 (throughput 2);
-// shuffles/broadcasts/widening converts are port-5-only (throughput 1);
+// shuffles/broadcasts are port-5-only (throughput 1);
 // logic and adds go anywhere (throughput 3).
 const InstrSpec& Vpdpbusd() {
   static const InstrSpec s{"vpdpbusd", 2.0, kP01};
@@ -30,10 +30,6 @@ const InstrSpec& Vpmaddubsw() {
 }
 const InstrSpec& Vpmaddwd() {
   static const InstrSpec s{"vpmaddwd", 2.0, kP01};
-  return s;
-}
-const InstrSpec& Vpmovzx() {
-  static const InstrSpec s{"vpmovzx", 1.0, kP5};
   return s;
 }
 const InstrSpec& Vpand() {
@@ -89,7 +85,7 @@ Int8TierAnalysis AnalyzeInt8Tier(X86Int8Tier tier) {
   std::vector<const InstrSpec*> seq;
   switch (tier) {
     case X86Int8Tier::kScalar:
-      // Portable widened-dot loop: one multiply-accumulate per cycle is
+      // Portable dot loop: one multiply-accumulate per cycle is
       // generous (load + sext + imul + add), but the point of the scalar
       // row is its order of magnitude, not its third digit.
       a.instruction_names = {"scalar mac"};
@@ -105,15 +101,6 @@ Int8TierAnalysis AnalyzeInt8Tier(X86Int8Tier tier) {
       for (int i = 0; i < 4; ++i) seq.push_back(&Vpbroadcastd());
       for (int i = 0; i < 4; ++i) seq.push_back(&Vpdpbusd());
       break;
-    case X86Int8Tier::kWidenedAvx512:
-      // 16 channels x 16 K in the kInt8Kc panel layout: widen both
-      // operands' bytes to i16 (port-5 converts), 8 vpmaddwd, 8 vpaddd
-      // into the i32 accumulators.
-      a.instruction_names = {"vpmovzx", "vpmaddwd", "vpaddd"};
-      for (int i = 0; i < 6; ++i) seq.push_back(&Vpmovzx());
-      for (int i = 0; i < 8; ++i) seq.push_back(&Vpmaddwd());
-      for (int i = 0; i < 8; ++i) seq.push_back(&Vpaddd());
-      break;
     case X86Int8Tier::kDotAvx2:
       // The saturation-safe AVX2 dot kernel (gemm/int8_gemm.cc): per
       // 4-byte K-group and 16 channels (two ymm halves), the even/odd
@@ -127,14 +114,6 @@ Int8TierAnalysis AnalyzeInt8Tier(X86Int8Tier tier) {
       for (int i = 0; i < 16; ++i) seq.push_back(&Vpmaddwd());
       for (int i = 0; i < 16; ++i) seq.push_back(&Vpaddd());
       break;
-    case X86Int8Tier::kWidenedAvx2:
-      // Same structure as kWidenedAvx512 at half the vector width: twice
-      // the multiply-adds per 256 MACs and proportionally more converts.
-      a.instruction_names = {"vpmovzx", "vpmaddwd", "vpaddd"};
-      for (int i = 0; i < 12; ++i) seq.push_back(&Vpmovzx());
-      for (int i = 0; i < 16; ++i) seq.push_back(&Vpmaddwd());
-      for (int i = 0; i < 16; ++i) seq.push_back(&Vpaddd());
-      break;
   }
   a.instructions = static_cast<int>(seq.size());
   a.cycles = ScheduleCyclesX86(seq);
@@ -144,35 +123,17 @@ Int8TierAnalysis AnalyzeInt8Tier(X86Int8Tier tier) {
 
 namespace {
 
-// Per-byte data-movement overheads outside the MAC loop, in cycles/byte.
-// The widened tiers run the scalar biased-panel interleave
-// (Int8GemmPackLhsTile: a byte load, XOR, and strided store per element --
-// ~3 cycles/byte measured); the dot tiers only stage raw rows with memcpy
-// (~0.25 cycles/byte). The widened register tile (2x4) also pays a
-// horizontal reduce + store of ~24 cycles per tile.
-constexpr double kPanelPackCyclesPerByte = 3.0;
+// Per-byte data-movement overhead outside the MAC loop, in cycles/byte:
+// every tier stages raw patch rows with memcpy (~0.25 cycles/byte).
 constexpr double kRowStageCyclesPerByte = 0.25;
-constexpr double kPanelTileReduceCycles = 24.0;
-constexpr std::int64_t kPanelMr = 2, kPanelNr = 4;
-
-bool IsDotTier(X86Int8Tier t) {
-  return t == X86Int8Tier::kVnni || t == X86Int8Tier::kDotAvx2;
-}
 
 }  // namespace
 
 double PredictInt8LayerCycles(X86Int8Tier tier, std::int64_t m,
                               std::int64_t n, std::int64_t k) {
   const double macs = static_cast<double>(m) * n * k;
-  double cycles = macs / AnalyzeInt8Tier(tier).macs_per_cycle;
-  if (IsDotTier(tier)) {
-    cycles += static_cast<double>(m) * k * kRowStageCyclesPerByte;
-  } else {
-    cycles += static_cast<double>(m) * k * kPanelPackCyclesPerByte;
-    cycles += static_cast<double>((m + kPanelMr - 1) / kPanelMr) *
-              ((n + kPanelNr - 1) / kPanelNr) * kPanelTileReduceCycles;
-  }
-  return cycles;
+  return macs / AnalyzeInt8Tier(tier).macs_per_cycle +
+         static_cast<double>(m) * k * kRowStageCyclesPerByte;
 }
 
 double PredictedInt8Speedup(X86Int8Tier baseline, X86Int8Tier candidate,
@@ -185,10 +146,6 @@ const char* X86Int8TierName(X86Int8Tier tier) {
   switch (tier) {
     case X86Int8Tier::kScalar:
       return "scalar";
-    case X86Int8Tier::kWidenedAvx2:
-      return "widened-avx2";
-    case X86Int8Tier::kWidenedAvx512:
-      return "widened-avx512";
     case X86Int8Tier::kDotAvx2:
       return "dot-avx2";
     case X86Int8Tier::kVnni:

@@ -1,6 +1,6 @@
 // Analytical x86 instruction cost model for the int8 convolution tiers
-// (gemm/int8_isa.h): the AVX-512 VNNI and AVX2 dot-product kernels versus
-// the widened 16-bit multiply-add kernels they replace. Companion to the
+// (gemm/int8_isa.h): the AVX-512 VNNI and AVX2 dot-product kernels and the
+// portable loop. Companion to the
 // Cortex-A76 model (costmodel/cortex_a76.h), which covers the paper's
 // Table 1; this file explains *which* int8 micro-kernel should win on a
 // given x86 core and by how much, and backs the tier-selection order of
@@ -11,9 +11,10 @@
 // on ports 0 and 1; shuffles and broadcasts are restricted to port 5;
 // bitwise logic and integer add go to any of the three. Throughputs are
 // from the Intel optimization manual / uops.info; the exact numbers matter
-// less than the structural result that the widened path spends most of its
-// issue slots on widening converts and adds while vpdpbusd folds the
-// multiply, widen, and accumulate into one port-0/1 instruction.
+// less than the structural result that the saturation-safe AVX2 kernel
+// spends most of its issue slots on masking, pairwise widening and adds
+// while vpdpbusd folds the multiply, widen, and accumulate into one
+// port-0/1 instruction.
 #ifndef LCE_COSTMODEL_X86_INT8_H_
 #define LCE_COSTMODEL_X86_INT8_H_
 
@@ -31,17 +32,14 @@ namespace lce::costmodel {
 const InstrSpec& Vpdpbusd();     // VNNI: 4-way u8 x s8 dot + i32 accumulate
 const InstrSpec& Vpmaddubsw();   // u8 x s8 -> pairwise i16 (saturating)
 const InstrSpec& Vpmaddwd();     // i16 x i16 -> pairwise i32
-const InstrSpec& Vpmovzx();      // byte -> word widening convert (shuffle)
 const InstrSpec& Vpand();        // bitwise logic (even/odd byte masking)
 const InstrSpec& Vpaddd();       // i32 vector add
 const InstrSpec& Vpbroadcastd(); // 4-byte activation group broadcast
 
-// Modeled int8 micro-kernel tiers. kWidenedAvx2 and kWidenedAvx512 are the
-// two SIMD widths of gemm::Int8Tier::kWidened; the dot tiers map 1:1.
+// Modeled int8 micro-kernel tiers; they map 1:1 onto the x86 values of
+// gemm::Int8Tier.
 enum class X86Int8Tier {
   kScalar,
-  kWidenedAvx2,
-  kWidenedAvx512,
   kDotAvx2,
   kVnni,
 };
@@ -58,10 +56,8 @@ struct Int8TierAnalysis {
 // Builds and schedules the canonical inner-loop sequence of each tier,
 // normalized to 256 MACs (16 output channels x 16 K bytes):
 //  * vnni         : 4 vpbroadcastd + 4 vpdpbusd
-//  * widened512   : 6 vpmovzx + 8 vpmaddwd + 8 vpaddd
 //  * dot-avx2     : 4 vpbroadcastd + 16 vpand + 16 vpmaddubsw +
 //                   16 vpmaddwd + 16 vpaddd  (even/odd split, 2 ymm halves)
-//  * widened-avx2 : 12 vpmovzx + 16 vpmaddwd + 16 vpaddd
 //  * scalar       : modeled flat at 1 MAC/cycle
 Int8TierAnalysis AnalyzeInt8Tier(X86Int8Tier tier);
 
@@ -73,11 +69,9 @@ double ScheduleCyclesX86(const std::vector<const InstrSpec*>& sequence);
 
 // Predicted cycles for an m x n x k int8 convolution GEMM (m = output
 // pixels, n = output channels, k = patch depth) on one core: the MAC
-// throughput above plus the per-tier data-movement overheads -- the
-// widened tiers pay the scalar biased-panel interleave pass and a
-// horizontal reduce per 2x4 register tile, the dot tiers only the raw
-// row-staging memcpy. These overhead constants are calibrated to the
-// microbenchmarks in bench_int8_dotprod.cc, not derived.
+// throughput above plus the row-staging memcpy every tier pays. The
+// staging constant is calibrated to the microbenchmarks in
+// bench_int8_dotprod.cc, not derived.
 double PredictInt8LayerCycles(X86Int8Tier tier, std::int64_t m,
                               std::int64_t n, std::int64_t k);
 

@@ -12,278 +12,46 @@
 #include <arm_neon.h>
 #endif
 
-#include "core/macros.h"
-
 namespace lce::gemm {
 namespace {
 
-int KBlocks(int k) { return (k + kInt8Kc - 1) / kInt8Kc; }
-
-// Scalar kernel on biased-LHS panels: acc = sum (uint8 a)*(int8 b), exact.
-void KernelScalar(const std::int8_t* apanel, const std::int8_t* bpanel,
-                  int k_blocks, std::int32_t acc_out[kInt8Mr][kInt8Nr]) {
-  std::int32_t acc[kInt8Mr][kInt8Nr] = {};
-  for (int kb = 0; kb < k_blocks; ++kb) {
-    const auto* a = reinterpret_cast<const std::uint8_t*>(
-        apanel + static_cast<std::int64_t>(kb) * kInt8Mr * kInt8Kc);
-    const std::int8_t* b = bpanel + static_cast<std::int64_t>(kb) * kInt8Nr * kInt8Kc;
-    for (int i = 0; i < kInt8Mr; ++i) {
-      for (int j = 0; j < kInt8Nr; ++j) {
-        std::int32_t s = 0;
-        for (int c = 0; c < kInt8Kc; ++c) {
-          s += static_cast<std::int32_t>(a[i * kInt8Kc + c]) *
-               static_cast<std::int32_t>(b[j * kInt8Kc + c]);
-        }
-        acc[i][j] += s;
-      }
-    }
-  }
-  std::memcpy(acc_out, acc, sizeof(acc));
-}
-
-#if defined(__AVX512BW__)
-#define LCE_INT8_GEMM_AVX512 1
-// AVX-512BW kernel: each 32-byte K-chunk widens to one 512-bit vector of 32
-// int16 lanes, so a single madd_epi16 performs 32 exact MACs -- the closest
-// x86 analogue of the paper's sdot path without VNNI hardware.
-void KernelAvx512(const std::int8_t* apanel, const std::int8_t* bpanel,
-                  int k_blocks, std::int32_t acc_out[kInt8Mr][kInt8Nr]) {
-  __m512i acc[kInt8Mr][kInt8Nr];
-  for (int i = 0; i < kInt8Mr; ++i)
-    for (int j = 0; j < kInt8Nr; ++j) acc[i][j] = _mm512_setzero_si512();
-
-  for (int kb = 0; kb < k_blocks; ++kb) {
-    const std::int8_t* a = apanel + static_cast<std::int64_t>(kb) * kInt8Mr * kInt8Kc;
-    const std::int8_t* b = bpanel + static_cast<std::int64_t>(kb) * kInt8Nr * kInt8Kc;
-    __m512i a16[kInt8Mr];
-    for (int i = 0; i < kInt8Mr; ++i) {
-      a16[i] = _mm512_cvtepu8_epi16(_mm256_load_si256(
-          reinterpret_cast<const __m256i*>(a + i * kInt8Kc)));
-    }
-    for (int j = 0; j < kInt8Nr; ++j) {
-      const __m512i b16 = _mm512_cvtepi8_epi16(_mm256_load_si256(
-          reinterpret_cast<const __m256i*>(b + j * kInt8Kc)));
-      for (int i = 0; i < kInt8Mr; ++i) {
-        acc[i][j] =
-            _mm512_add_epi32(acc[i][j], _mm512_madd_epi16(a16[i], b16));
-      }
-    }
-  }
-  for (int i = 0; i < kInt8Mr; ++i) {
-    for (int j = 0; j < kInt8Nr; ++j) {
-      alignas(64) std::int32_t lanes[16];
-      _mm512_store_si512(lanes, acc[i][j]);
-      std::int32_t s = 0;
-      for (int l = 0; l < 16; ++l) s += lanes[l];
-      acc_out[i][j] = s;
-    }
-  }
-}
-#endif  // __AVX512BW__
-
-#if defined(__AVX2__) && !defined(LCE_INT8_GEMM_AVX512)
-// Exact widened 16-bit multiply-add kernel (plays the role of the paper's
-// sdot instruction): 2x4 tile, 32 bytes of K per step.
-void KernelAvx2(const std::int8_t* apanel, const std::int8_t* bpanel,
-                int k_blocks, std::int32_t acc_out[kInt8Mr][kInt8Nr]) {
-  __m256i acc[kInt8Mr][kInt8Nr];
-  for (int i = 0; i < kInt8Mr; ++i)
-    for (int j = 0; j < kInt8Nr; ++j) acc[i][j] = _mm256_setzero_si256();
-
-  for (int kb = 0; kb < k_blocks; ++kb) {
-    const std::int8_t* a = apanel + static_cast<std::int64_t>(kb) * kInt8Mr * kInt8Kc;
-    const std::int8_t* b = bpanel + static_cast<std::int64_t>(kb) * kInt8Nr * kInt8Kc;
-    __m256i a16[kInt8Mr][2];
-    for (int i = 0; i < kInt8Mr; ++i) {
-      const __m256i av =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(a + i * kInt8Kc));
-      a16[i][0] = _mm256_cvtepu8_epi16(_mm256_castsi256_si128(av));
-      a16[i][1] = _mm256_cvtepu8_epi16(_mm256_extracti128_si256(av, 1));
-    }
-    for (int j = 0; j < kInt8Nr; ++j) {
-      const __m256i bv =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(b + j * kInt8Kc));
-      const __m256i b0 = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(bv));
-      const __m256i b1 = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(bv, 1));
-      for (int i = 0; i < kInt8Mr; ++i) {
-        acc[i][j] = _mm256_add_epi32(acc[i][j],
-                                     _mm256_madd_epi16(a16[i][0], b0));
-        acc[i][j] = _mm256_add_epi32(acc[i][j],
-                                     _mm256_madd_epi16(a16[i][1], b1));
-      }
-    }
-  }
-  for (int i = 0; i < kInt8Mr; ++i) {
-    for (int j = 0; j < kInt8Nr; ++j) {
-      alignas(32) std::int32_t lanes[8];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc[i][j]);
-      std::int32_t s = 0;
-      for (int l = 0; l < 8; ++l) s += lanes[l];
-      acc_out[i][j] = s;
-    }
-  }
-}
-#endif  // __AVX2__
-
-}  // namespace
-
-void Int8GemmPackLhsTile(const std::int8_t* src, int n, int k, int row0,
-                         int rows, int k_blocks, bool bias, std::int8_t* dst) {
-  const std::int8_t pad = bias ? static_cast<std::int8_t>(0x80) : 0;
-  std::memset(dst, pad,
-              static_cast<std::size_t>(k_blocks) * rows * kInt8Kc);
-  for (int r = 0; r < rows; ++r) {
-    const int row = row0 + r;
-    if (row >= n) continue;
-    const std::int8_t* s = src + static_cast<std::int64_t>(row) * k;
-    for (int kk = 0; kk < k; ++kk) {
-      const int kb = kk / kInt8Kc;
-      std::int8_t v = s[kk];
-      if (bias) v = static_cast<std::int8_t>(v ^ 0x80);
-      dst[(static_cast<std::int64_t>(kb) * rows + r) * kInt8Kc +
-          (kk % kInt8Kc)] = v;
-    }
-  }
-}
-
-void Int8ComputeTile(const std::int8_t* apanel, const std::int8_t* bpanel,
-                     int k_blocks, KernelProfile profile,
-                     std::int32_t acc[kInt8Mr][kInt8Nr]) {
-  if (profile == KernelProfile::kSimd) {
-#if defined(LCE_INT8_GEMM_AVX512)
-    KernelAvx512(apanel, bpanel, k_blocks, acc);
-    return;
-#elif defined(__AVX2__)
-    KernelAvx2(apanel, bpanel, k_blocks, acc);
-    return;
-#endif
-  }
-  KernelScalar(apanel, bpanel, k_blocks, acc);
-}
-
-void Int8ComputeBlock(const std::int8_t* apanels, std::int64_t a_elems,
-                      const PackedInt8Matrix& rhs, KernelProfile profile,
-                      int block_tiles, int block_rows, std::int32_t* out,
-                      int ldc) {
-  const int k_blocks = rhs.k_blocks();
-  const int n = rhs.n();
-  std::int32_t acc[kInt8Mr][kInt8Nr];
-  for (int nt = 0; nt < rhs.num_tiles(); ++nt) {
-    const int col0 = nt * kInt8Nr;
-    const int cols = std::min(kInt8Nr, n - col0);
-    const std::int8_t* btile = rhs.tile(nt);
-    for (int t = 0; t < block_tiles; ++t) {
-      const int row0 = t * kInt8Mr;
-      const int rows = std::min(kInt8Mr, block_rows - row0);
-      Int8ComputeTile(apanels + t * a_elems, btile, k_blocks, profile, acc);
-      for (int i = 0; i < rows; ++i) {
-        std::int32_t* o = out + static_cast<std::int64_t>(row0 + i) * ldc + col0;
-        for (int j = 0; j < cols; ++j) {
-          // Remove the +128 activation bias: acc was computed on
-          // (a+128, b), so subtract 128 * rowsum(b).
-          o[j] = acc[i][j] - 128 * rhs.row_sums()[col0 + j];
-        }
-      }
-    }
-  }
-}
-
-PackedInt8Matrix::PackedInt8Matrix(const std::int8_t* rows, int n, int k)
-    : n_(n), k_(k), k_blocks_(KBlocks(k)) {
-  num_tiles_ = (n + kInt8Nr - 1) / kInt8Nr;
-  buf_ = AlignedBuffer(static_cast<std::size_t>(num_tiles_) * tile_elems());
-  auto* d = reinterpret_cast<std::int8_t*>(buf_.data());
-  for (int t = 0; t < num_tiles_; ++t) {
-    Int8GemmPackLhsTile(rows, n, k, t * kInt8Nr, kInt8Nr, k_blocks_,
-                        /*bias=*/false,
-                        d + static_cast<std::int64_t>(t) * tile_elems());
-  }
-  row_sums_.resize(n);
-  for (int r = 0; r < n; ++r) {
-    std::int32_t s = 0;
-    for (int kk = 0; kk < k; ++kk) s += rows[static_cast<std::int64_t>(r) * k + kk];
-    row_sums_[r] = s;
-  }
-}
-
-void Int8Gemm(const std::int8_t* lhs, int m, const PackedInt8Matrix& rhs,
-              std::int32_t* out, int ldc, Context& ctx) {
-  const int k = rhs.k();
-  const int n = rhs.n();
-  const int k_blocks = rhs.k_blocks();
-  const int m_tiles = (m + kInt8Mr - 1) / kInt8Mr;
-  const std::int64_t a_tile_elems =
-      static_cast<std::int64_t>(k_blocks) * kInt8Mr * kInt8Kc;
-
-  auto* apanels = reinterpret_cast<std::int8_t*>(
-      ctx.Scratch(0, static_cast<std::size_t>(m_tiles) * a_tile_elems));
-  ctx.pool().ParallelFor(m_tiles, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t t = begin; t < end; ++t) {
-      Int8GemmPackLhsTile(lhs, m, k, static_cast<int>(t) * kInt8Mr, kInt8Mr,
-                          k_blocks, /*bias=*/true, apanels + t * a_tile_elems);
-    }
-  });
-
-  const KernelProfile profile = ctx.profile();
-  // B-tile-outer loop order for panel reuse (see float_gemm.cc).
-  ctx.pool().ParallelFor(m_tiles, [&](std::int64_t begin, std::int64_t end) {
-    std::int32_t acc[kInt8Mr][kInt8Nr];
-    for (int nt = 0; nt < rhs.num_tiles(); ++nt) {
-      const int col0 = nt * kInt8Nr;
-      const int cols = std::min(kInt8Nr, n - col0);
-      for (std::int64_t mt = begin; mt < end; ++mt) {
-        const int row0 = static_cast<int>(mt) * kInt8Mr;
-        const int rows = std::min(kInt8Mr, m - row0);
-        Int8ComputeTile(apanels + mt * a_tile_elems, rhs.tile(nt), k_blocks,
-                        profile, acc);
-        for (int i = 0; i < rows; ++i) {
-          std::int32_t* o = out + static_cast<std::int64_t>(row0 + i) * ldc + col0;
-          for (int j = 0; j < cols; ++j) {
-            // Remove the +128 activation bias: acc was computed on
-            // (a+128, b), so subtract 128 * rowsum(b).
-            o[j] = acc[i][j] - 128 * rhs.row_sums()[col0 + j];
-          }
-        }
-      }
-    }
-  });
-}
-
-void Int8Gemm(const std::int8_t* lhs, int m, const std::int8_t* rhs, int n,
-              int k, std::int32_t* out, int ldc, Context& ctx) {
-  PackedInt8Matrix packed(rhs, n, k);
-  Int8Gemm(lhs, m, packed, out, ldc, ctx);
-}
-
-// ---------------------------------------------------------------------------
 // Dot-product tier kernels. All are panel-outer / row-inner: one weight
 // panel stays register/L1-resident across every staged row of the block
 // before the next panel streams in (weight-stationary).
-// ---------------------------------------------------------------------------
 
-namespace {
+// Byte `c` (0 = lowest address) of a little-endian 4-byte group,
+// sign-extended.
+inline std::int32_t GroupByte(std::uint32_t w, int c) {
+  return static_cast<std::int32_t>(w << (24 - 8 * c)) >> 24;
+}
 
-// Portable reference for the dot-panel layout: raw signed dot, exact. Also
-// the fallback when the requested SIMD kernel is not compiled in.
+// The kScalar tier: raw signed dot, exact. Also the fallback when the
+// requested SIMD kernel is not compiled in. Each channel's 4-byte K-group
+// is one 32-bit lane of the panel line, so the channel loop is 16 lanes of
+// shifts and multiply-adds the compiler can vectorize; padding channels
+// hold zero weights and are computed but not stored.
 void DotPanelPortable(const std::int8_t* arows, int lda,
                       const std::int8_t* panel, int k_groups, int col0,
                       int cols, int block_rows, std::int32_t* out, int ldc) {
   for (int r = 0; r < block_rows; ++r) {
     const std::int8_t* a = arows + static_cast<std::int64_t>(r) * lda;
-    std::int32_t* o = out + static_cast<std::int64_t>(r) * ldc + col0;
-    for (int j = 0; j < cols; ++j) {
-      std::int32_t s = 0;
-      for (int g = 0; g < k_groups; ++g) {
-        const std::int8_t* b =
-            panel + (static_cast<std::int64_t>(g) * kInt8DotNr + j) * kInt8DotKg;
-        const std::int8_t* av = a + static_cast<std::int64_t>(g) * kInt8DotKg;
-        for (int c = 0; c < kInt8DotKg; ++c) {
-          s += static_cast<std::int32_t>(av[c]) *
-               static_cast<std::int32_t>(b[c]);
-        }
+    std::int32_t acc[kInt8DotNr] = {};
+    for (int g = 0; g < k_groups; ++g) {
+      std::uint32_t aw;
+      std::memcpy(&aw, a + static_cast<std::int64_t>(g) * kInt8DotKg, 4);
+      const std::int32_t a0 = GroupByte(aw, 0), a1 = GroupByte(aw, 1);
+      const std::int32_t a2 = GroupByte(aw, 2), a3 = GroupByte(aw, 3);
+      const std::int8_t* b =
+          panel + static_cast<std::int64_t>(g) * kInt8DotNr * kInt8DotKg;
+      std::uint32_t bw[kInt8DotNr];
+      std::memcpy(bw, b, sizeof(bw));
+      for (int j = 0; j < kInt8DotNr; ++j) {
+        acc[j] += a0 * GroupByte(bw[j], 0) + a1 * GroupByte(bw[j], 1) +
+                  a2 * GroupByte(bw[j], 2) + a3 * GroupByte(bw[j], 3);
       }
-      o[j] = s;
     }
+    std::int32_t* o = out + static_cast<std::int64_t>(r) * ldc + col0;
+    for (int j = 0; j < cols; ++j) o[j] = acc[j];
   }
 }
 

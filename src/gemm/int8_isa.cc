@@ -59,9 +59,6 @@ std::atomic<int> g_tier_override{0};
 int ParseForcedTier(const char* s) {
   if (s == nullptr || *s == '\0') return 0;
   if (std::strcmp(s, "scalar") == 0) return static_cast<int>(Int8Tier::kScalar);
-  if (std::strcmp(s, "widened") == 0) {
-    return static_cast<int>(Int8Tier::kWidened);
-  }
   if (std::strcmp(s, "avx2dot") == 0) {
     return static_cast<int>(Int8Tier::kAvx2Dot);
   }
@@ -77,7 +74,6 @@ int ParseForcedTier(const char* s) {
 bool Int8TierAvailable(Int8Tier tier) {
   switch (tier) {
     case Int8Tier::kScalar:
-    case Int8Tier::kWidened:
       return true;
     case Int8Tier::kAvx2Dot:
 #if defined(__AVX2__)
@@ -104,14 +100,8 @@ bool Int8TierAvailable(Int8Tier tier) {
 Int8Tier BestInt8Tier() {
   if (Int8TierAvailable(Int8Tier::kVnni)) return Int8Tier::kVnni;
   if (Int8TierAvailable(Int8Tier::kNeonDot)) return Int8Tier::kNeonDot;
-#if defined(__AVX512BW__)
-  // 512-bit widened madd beats the 8-wide masked AVX2 dot (see the header
-  // comment and costmodel/x86_int8.h).
-  return Int8Tier::kWidened;
-#else
   if (Int8TierAvailable(Int8Tier::kAvx2Dot)) return Int8Tier::kAvx2Dot;
-  return Int8Tier::kWidened;
-#endif
+  return Int8Tier::kScalar;
 }
 
 Int8Tier SelectInt8Tier() {
@@ -137,8 +127,6 @@ const char* Int8TierName(Int8Tier tier) {
   switch (tier) {
     case Int8Tier::kScalar:
       return "scalar";
-    case Int8Tier::kWidened:
-      return "widened";
     case Int8Tier::kAvx2Dot:
       return "avx2dot";
     case Int8Tier::kNeonDot:
@@ -147,11 +135,6 @@ const char* Int8TierName(Int8Tier tier) {
       return "vnni";
   }
   return "unknown";
-}
-
-bool Int8TierIsDotProduct(Int8Tier tier) {
-  return tier == Int8Tier::kAvx2Dot || tier == Int8Tier::kNeonDot ||
-         tier == Int8Tier::kVnni;
 }
 
 }  // namespace lce::gemm

@@ -1,11 +1,10 @@
 // Runtime ISA tier selection for the int8 convolution path.
 //
-// The int8 TileCompute has two kernel families (gemm/int8_gemm.h): the
-// widened 16-bit multiply-add panel kernels that shipped with the fused
-// pipeline, and the dot-product kernels (AVX-512 VNNI vpdpbusd, AVX2
-// masked vpmaddubsw, NEON sdot) that consume the weight-stationary
-// PackedInt8DotPanels layout. Which family actually runs is decided here,
-// once per kernel invocation, from three inputs in priority order:
+// Every int8 tier runs the same weight layout (gemm::PackedInt8DotPanels)
+// on the same gathered patch rows; a tier picks only the dot-product
+// kernel: AVX-512 VNNI vpdpbusd, AVX2 masked vpmaddubsw, NEON sdot or the
+// portable loop. Which tier runs is decided here, once per kernel
+// invocation, from three inputs in priority order:
 //
 //   1. SetInt8TierOverrideForTest()   (tests sweeping every tier)
 //   2. the LCE_FORCE_ISA env var      (benches, CI fallback coverage)
@@ -20,52 +19,37 @@
 
 namespace lce::gemm {
 
-// True when at least one dot-product kernel is compiled into this binary
-// (and PackedInt8DotPanels are therefore worth building at Compile() time).
-#if defined(__AVX512VNNI__) || defined(__AVX2__) || \
-    (defined(__ARM_NEON) && defined(__ARM_FEATURE_DOTPROD))
-#define LCE_INT8_DOT_KERNELS 1
-#endif
-
 // Int8 micro-kernel tiers. Values are stable and exported through the
 // `conv2d_int8.tier` gauge (asserted by the perf-smoke CI job), so they
-// must not be renumbered.
+// must not be renumbered. Value 2 belonged to a retired kernel family and
+// stays unused.
 enum class Int8Tier : int {
-  kScalar = 1,   // portable widened-dot loop on the kInt8Kc panel layout
-  kWidened = 2,  // 16-bit widened madd panel kernels (AVX2 / AVX-512BW)
+  kScalar = 1,   // portable dot loop
   kAvx2Dot = 3,  // AVX2 masked vpmaddubsw+vpmaddwd dot-product kernel
   kNeonDot = 4,  // Arm sdot dot-product kernel
   kVnni = 5,     // AVX-512 VNNI vpdpbusd dot-product kernel
 };
 
 // Whether `tier` is compiled into this binary AND supported by the running
-// CPU (CPUID + XCR0 on x86). kScalar and kWidened are always available:
-// kWidened degrades to the scalar kernel on SIMD-less builds.
+// CPU (CPUID + XCR0 on x86). kScalar is always available.
 bool Int8TierAvailable(Int8Tier tier);
 
 // Best available tier, by the cost-model ordering (costmodel/x86_int8.h):
-// vnni > neondot > widened-on-AVX512BW > avx2dot > widened > scalar.
-// The AVX-512BW widened kernel outranks the 8-wide masked AVX2 dot because
-// its 32-MAC madd amortizes the panel-pack overhead better; on plain AVX2
-// hardware the dot kernel wins by skipping the pack pass entirely.
+// vnni > neondot > avx2dot > scalar.
 Int8Tier BestInt8Tier();
 
 // BestInt8Tier() with the test hook and LCE_FORCE_ISA overrides applied.
-// Recognized LCE_FORCE_ISA values: "vnni", "neondot", "avx2dot",
-// "widened", "scalar" (unknown values are ignored). The env var is read
-// once per process.
+// Recognized LCE_FORCE_ISA values: "vnni", "neondot", "avx2dot", "scalar"
+// (unknown values are ignored). The env var is read once per process.
 Int8Tier SelectInt8Tier();
 
 // Test hook: force a tier programmatically (takes precedence over the env
-// var). Pass 0 to clear. Takes effect at the next kernel invocation; not
-// meant to race with in-flight runs.
+// var). Pass 0 to clear; a value that names no available tier is ignored.
+// Takes effect at the next kernel invocation; not meant to race with
+// in-flight runs.
 void SetInt8TierOverrideForTest(int tier);
 
 const char* Int8TierName(Int8Tier tier);
-
-// Dot-product tiers consume PackedInt8DotPanels plus raw staged patch
-// rows; the other tiers consume the interleaved kInt8Kc panel layout.
-bool Int8TierIsDotProduct(Int8Tier tier);
 
 }  // namespace lce::gemm
 

@@ -88,20 +88,13 @@ Conv2DInt8::Conv2DInt8(const std::int8_t* weights_ohwi, Conv2DInt8Attrs attrs)
     LCE_CHECK_EQ(static_cast<int>(attrs_.bias.size()), g.out_c);
   }
   LCE_CHECK_GT(attrs_.block_tiles, 0);
+  // The one weight layout every tier reads, packed once here (Compile()
+  // time).
   auto weights = std::make_shared<SharedWeights>();
-  weights->matrix =
-      gemm::PackedInt8Matrix(weights_ohwi, g.out_c, Im2ColDepthFloat(g));
-#if defined(LCE_INT8_DOT_KERNELS)
-  // Weight-stationary panels for the dot-product tiers, packed once here
-  // (Compile() time) like the kInt8Kc-block matrix above. Only built when
-  // a dot kernel is compiled in; Run() falls back to the panel path if the
-  // running CPU turns out not to support any dot tier.
   weights->dot_panels = gemm::PackedInt8DotPanels(weights_ohwi, g.out_c,
                                                   Im2ColDepthFloat(g));
-#endif
-
   weights->transform =
-      MakeInt8RequantTransform(attrs_, weights->matrix.row_sums().data());
+      MakeInt8RequantTransform(attrs_, weights->dot_panels.row_sums().data());
   weights_ = std::move(weights);
 
   InitGeometry();
@@ -136,76 +129,12 @@ void Conv2DInt8::InitGeometry() {
   tile_plan_ = pipeline::TilePlan(g, gemm::kInt8Mr);
 }
 
-// TileCompute policy of the int8 kernel, widened-madd tiers: byte-gather
-// patch rows through the indirection cache into biased A-panels and run
-// the widened multiply-add block kernel (AVX-512BW / AVX2 / scalar). The
-// kernel profile is fixed at tier-selection time (gemm/int8_isa.h) rather
-// than read from the engine, so LCE_FORCE_ISA=scalar reaches the scalar
-// kernel even in a SIMD-profile context.
-class Conv2DInt8TileCompute final : public pipeline::TileCompute {
- public:
-  Conv2DInt8TileCompute(const Conv2DInt8& op, const std::int8_t* input,
-                        gemm::KernelProfile profile)
-      : op_(op),
-        input_(input),
-        profile_(profile),
-        k_blocks_(op.weights_->matrix.k_blocks()),
-        a_elems_(static_cast<std::int64_t>(k_blocks_) * gemm::kInt8Mr *
-                 gemm::kInt8Kc),
-        stage_bytes_(static_cast<std::size_t>(gemm::kInt8Mr) *
-                     Im2ColDepthFloat(op.attrs_.geo)) {}
-
-  std::size_t ShardScratchBytes(int block_tiles) const override {
-    return Align64(static_cast<std::size_t>(a_elems_) * block_tiles) +
-           Align64(stage_bytes_);
-  }
-
-  void ComputeBlock(std::int64_t tile0, int block_tiles, std::int64_t row0,
-                    int block_rows, const pipeline::TilePlan& plan,
-                    gemm::KernelProfile /*profile*/, std::uint8_t* scratch,
-                    std::int32_t* acc) const override {
-    auto* apanels = reinterpret_cast<std::int8_t*>(scratch);
-    auto* stage = reinterpret_cast<std::int8_t*>(
-        scratch + Align64(static_cast<std::size_t>(a_elems_) * block_tiles));
-    for (int i = 0; i < block_tiles; ++i) {
-      const std::int64_t trow0 =
-          row0 + static_cast<std::int64_t>(i) * gemm::kInt8Mr;
-      // Fetch the next tile's feature-map lines while this tile gathers
-      // and computes.
-      if (i + 1 < block_tiles) {
-        pipeline::PrefetchInt8GatherSources(input_, op_.indirection_,
-                                            trow0 + gemm::kInt8Mr,
-                                            gemm::kInt8Mr);
-      }
-      pipeline::GatherPackInt8(input_, op_.indirection_, op_.pad_value_,
-                               trow0, gemm::kInt8Mr, k_blocks_,
-                               plan.interior(tile0 + i), stage,
-                               apanels + static_cast<std::int64_t>(i) *
-                                             a_elems_);
-    }
-    gemm::Int8ComputeBlock(apanels, a_elems_, op_.weights_->matrix, profile_,
-                           block_tiles, block_rows, acc,
-                           op_.attrs_.geo.out_c);
-  }
-
- private:
-  static std::size_t Align64(std::size_t v) {
-    return (v + 63) & ~static_cast<std::size_t>(63);
-  }
-
-  const Conv2DInt8& op_;
-  const std::int8_t* input_;
-  gemm::KernelProfile profile_;
-  int k_blocks_;
-  std::int64_t a_elems_;
-  std::size_t stage_bytes_;
-};
-
-// TileCompute policy of the int8 kernel, dot-product tiers (VNNI / AVX2
-// maddubs / NEON sdot): the gather only *stages* patch rows — the dot
-// kernels broadcast 4-byte activation groups straight from them, so the
-// panel interleave pass of the widened path disappears. For the VNNI tier
-// the staging copy also applies the u8 x s8 kernel's +128 bias. The block
+// TileCompute policy of the int8 kernel, every tier (VNNI / AVX2 maddubs /
+// NEON sdot / portable): the gather only *stages* patch rows — the dot
+// kernels broadcast 4-byte activation groups straight from them, with no
+// panel interleave pass. For the VNNI tier the staging copy also applies
+// the u8 x s8 kernel's +128 bias. The tier is fixed at selection time
+// (gemm/int8_isa.h) rather than read from the engine's profile. The block
 // compute is panel-outer / row-inner over the Compile()-time
 // PackedInt8DotPanels (weight-stationary: one panel stays L1-resident
 // across all rows of the block before the next streams in).
@@ -220,7 +149,7 @@ class Conv2DInt8DotTileCompute final : public pipeline::TileCompute {
         lda_(op.weights_->dot_panels.k_groups() * gemm::kInt8DotKg) {}
 
   std::size_t ShardScratchBytes(int block_tiles) const override {
-    // Staged raw rows for the whole block; no panel buffer.
+    // Staged rows for the whole block.
     return static_cast<std::size_t>(block_tiles) * gemm::kInt8Mr * lda_;
   }
 
@@ -262,15 +191,12 @@ void Conv2DInt8::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
   LCE_CHECK(output.dtype() == DataType::kInt8);
 
   // A scalar-profile context pins the whole kernel to the scalar tier (the
-  // profile exists so tests can demand the portable kernels; the dot tiers
-  // are SIMD by definition). Otherwise the tier is the runtime selection,
-  // demoted to the widened family if no dot kernel made it into the binary.
-  const bool scalar_ctx = ctx.profile() == gemm::KernelProfile::kScalar;
-  gemm::Int8Tier tier =
-      scalar_ctx ? gemm::Int8Tier::kScalar : gemm::SelectInt8Tier();
-  if (gemm::Int8TierIsDotProduct(tier) && weights_->dot_panels.empty()) {
-    tier = gemm::Int8Tier::kWidened;
-  }
+  // profile exists so tests can demand the portable kernels; the other
+  // tiers are SIMD by definition). Otherwise the tier is the runtime
+  // selection.
+  const gemm::Int8Tier tier = ctx.profile() == gemm::KernelProfile::kScalar
+                                  ? gemm::Int8Tier::kScalar
+                                  : gemm::SelectInt8Tier();
 
   // The scalar tier requantizes with the scalar reference loop as well.
   const pipeline::Int8RequantReference reference_transform(
@@ -282,24 +208,18 @@ void Conv2DInt8::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
 
   TierGauge()->Set(static_cast<std::int64_t>(tier));
 
-  const Conv2DInt8TileCompute panel_compute(
-      *this, input.data<std::int8_t>(),
-      tier == gemm::Int8Tier::kScalar ? gemm::KernelProfile::kScalar
-                                      : gemm::KernelProfile::kSimd);
-  const Conv2DInt8DotTileCompute dot_compute(*this, input.data<std::int8_t>(),
-                                             tier);
+  const Conv2DInt8DotTileCompute compute(*this, input.data<std::int8_t>(),
+                                         tier);
   pipeline::ConvPipelineArgs args;
   args.variant = "conv2d_int8";
   // kInt8Mr is small (2 rows per tile), so a 16-tile block would re-stream
-  // the packed RHS every 32 rows; the default 64 tiles (128 rows) amortize
-  // the B-panel loads like a full-image GEMM while the staged
+  // the packed panels every 32 rows; the default 64 tiles (128 rows)
+  // amortize the panel loads like a full-image GEMM while the staged
   // rows + accumulator still fit in L2. Swept by bench_int8_dotprod.
   args.block_tiles = attrs_.block_tiles;
   args.out_c = g.out_c;
   args.plan = &tile_plan_;
-  args.compute = gemm::Int8TierIsDotProduct(tier)
-                     ? static_cast<const pipeline::TileCompute*>(&dot_compute)
-                     : &panel_compute;
+  args.compute = &compute;
   args.transform = &transform;
   args.out = output.raw_data();
   pipeline::RunConvPipeline(args, ctx, times);

@@ -4,9 +4,10 @@
 //
 // Execution runs through the shared fused row-tile engine
 // (kernels/pipeline/conv_pipeline.h): patch rows are byte-gathered through
-// the prepare-time indirection cache straight into biased int8 GEMM
-// A-panels, and the requantization is the shared Int8RequantTransform
-// applied per cache-resident tile.
+// the prepare-time indirection cache into staged rows, the selected tier's
+// dot kernel (gemm/int8_isa.h) multiplies them against the one packed
+// weight layout (gemm::PackedInt8DotPanels), and the requantization is the
+// shared Int8RequantTransform applied per cache-resident tile.
 #ifndef LCE_KERNELS_CONV2D_INT8_H_
 #define LCE_KERNELS_CONV2D_INT8_H_
 
@@ -36,7 +37,7 @@ struct Conv2DInt8Attrs {
   // must then be at scale s_in * weight_scales[c].
   std::vector<float> weight_scales;
   // Row tiles per pipeline block. kInt8Mr is small (2 rows per tile), so
-  // the default 64-tile block (128 rows) amortizes the packed-RHS streaming
+  // the default 64-tile block (128 rows) amortizes the packed-weight streaming
   // while the staged rows + accumulator still fit in L2. Exposed so
   // bench_int8_dotprod can sweep the weight-stationary blocking.
   int block_tiles = 64;
@@ -44,7 +45,7 @@ struct Conv2DInt8Attrs {
 
 // The requantization policy attrs describes (fixed-point multipliers and
 // shifts from the input/weight/output scales, activation as a clamp);
-// `row_sums` are the packed weight matrix's per-channel sums.
+// `row_sums` are the packed weights' per-channel sums.
 std::unique_ptr<pipeline::Int8RequantTransform> MakeInt8RequantTransform(
     const Conv2DInt8Attrs& attrs, const std::int32_t* row_sums);
 
@@ -53,13 +54,13 @@ class Conv2DInt8 {
   Conv2DInt8(const std::int8_t* weights_ohwi, Conv2DInt8Attrs attrs);
 
   // Batch-variant sibling (docs/SERVING.md): shares `base`'s packed weight
-  // matrix and requantization transform (batch-invariant) and rebuilds only
+  // panels and requantization transform (batch-invariant) and rebuilds only
   // the geometry-dependent state (indirection cache, tile plan). `attrs`
   // must match base.attrs() in everything except geo.batch.
   Conv2DInt8(const Conv2DInt8& base, Conv2DInt8Attrs attrs);
 
   // input: int8 NHWC; output: int8 NHWC.
-  // scratch usage: context slot 2 (per-shard A-panels + staging + row-tile
+  // scratch usage: context slot 2 (per-shard staged rows + row-tile
   // accumulator).
   void Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
            pipeline::ConvStageTimes* times = nullptr) const;
@@ -69,13 +70,9 @@ class Conv2DInt8 {
  private:
   // Batch-invariant prepared weight state, shared (read-only) between a
   // kernel and its batch-variant siblings. The transform references
-  // matrix.row_sums(), so both live and die together.
+  // dot_panels.row_sums(), so both live and die together.
   struct SharedWeights {
-    gemm::PackedInt8Matrix matrix;
-    // Second weight layout for the dot-product tiers (gemm/int8_isa.h):
-    // K-grouped weight-stationary panels consumed by Int8DotComputeBlock.
-    // Built alongside `matrix` at Compile() time; which layout a Run()
-    // reads is the runtime tier selection's call.
+    // K-grouped weight-stationary panels, the layout every tier reads.
     gemm::PackedInt8DotPanels dot_panels;
     // Requantization policy (multipliers, shifts, activation clamp).
     std::unique_ptr<pipeline::Int8RequantTransform> transform;
@@ -85,7 +82,6 @@ class Conv2DInt8 {
   // cache, tile plan) -- the only setup a batch-variant sibling repeats.
   void InitGeometry();
 
-  friend class Conv2DInt8TileCompute;
   friend class Conv2DInt8DotTileCompute;
 
   Conv2DInt8Attrs attrs_;

@@ -3,16 +3,15 @@
 // prepare-time int32 indirection cache (gemm/indirect_bgemm.h), without
 // materializing im2col patches.
 //
-// Four strategies, one per consumer family:
+// Three strategies, one per consumer family:
 //   * GatherPackBitpacked  — word gather into plain row-major BGEMM rows
 //     (BConv2D): each row is its taps' channel words back to back, exactly
 //     an im2col patch row, which the BGEMM kernels read in place. A word
 //     slice per pixel (`word_begin`, `word_count`) serves grouped BConv2D;
 //     group boundaries fall on word boundaries by construction.
-//   * GatherPackInt8       — byte gather into int8-GEMM A-panels with
-//     the maddubs +128 bias applied during packing (Conv2DInt8); padded
-//     taps read the input zero point, exactly like Im2ColInt8.
-//   * GatherStageInt8Dot   — raw int8 patch rows for the dot-product tiers.
+//   * GatherStageInt8Dot   — int8 patch rows staged for the dot-product
+//     kernels (Conv2DInt8); padded taps read the input zero point, exactly
+//     like Im2ColInt8.
 //   * GatherPackFloat      — float gather into float-GEMM A-panels
 //     (full-precision Conv2D); padded taps read the padding value.
 //
@@ -46,28 +45,18 @@ void GatherPackBitpacked(const TBitpacked* input,
                          int word_count, std::int64_t row0, int tile_rows,
                          bool interior, TBitpacked* dst);
 
-// Int8 byte gather: `ind` must have been built with elems_per_pixel = in_c
-// (byte offsets). Gathers `tile_rows` patch rows of taps*in_c bytes into
-// `stage` (caller-provided, tile_rows * taps * in_c bytes), filling padded
-// taps with `pad_value` (the clamped input zero point), then packs them into
-// the [k_blocks][tile_rows][kInt8Kc] biased-uint8 panel layout of
-// gemm/int8_gemm.h. Rows beyond ind.rows() pack as biased zero (they never
-// reach the output).
-void GatherPackInt8(const std::int8_t* input,
-                    const gemm::IndirectionOffsets& ind, std::int8_t pad_value,
-                    std::int64_t row0, int tile_rows, int k_blocks,
-                    bool interior, std::int8_t* stage, std::int8_t* dst);
-
-// Int8 gather for the dot-product tiers (gemm/int8_isa.h): stages
+// Int8 byte gather for every int8 tier (gemm/int8_isa.h): `ind` must have
+// been built with elems_per_pixel = in_c (byte offsets). Stages
 // `tile_rows` raw patch rows of taps*in_c bytes straight into `dst`,
 // row-major with leading dimension `lda` (>= taps*in_c; the tail is
-// zeroed so K-padding contributes nothing). The dot kernels
-// (gemm::Int8DotComputeBlock) read these rows directly — no biased panel
-// interleave pass, which is most of GatherPackInt8's non-memcpy work.
-// Rows beyond ind.rows() are zeroed (they never reach the output). With
-// `bias` set every gathered byte (padded taps included) is XORed with 0x80
-// on the way in: the +128 activation bias of the u8 x s8 VNNI kernel
-// (gemm::Int8DotRowsBiased), applied once here instead of per broadcast.
+// zeroed so K-padding contributes nothing), filling padded taps with
+// `pad_value` (the clamped input zero point). The dot kernels
+// (gemm::Int8DotComputeStagedBlock) read these rows directly, with no
+// panel interleave pass. Rows beyond ind.rows() are zeroed (they never
+// reach the output). With `bias` set every gathered byte (padded taps
+// included) is XORed with 0x80 on the way in: the +128 activation bias of
+// the u8 x s8 VNNI kernel (gemm::Int8DotRowsBiased), applied once here
+// instead of per broadcast.
 void GatherStageInt8Dot(const std::int8_t* input,
                         const gemm::IndirectionOffsets& ind,
                         std::int8_t pad_value, std::int64_t row0,

@@ -342,22 +342,43 @@ void RefBDepthwiseConv2D::Run(const Tensor& input, Tensor& output) const {
 RefConv2DInt8Im2ColGemm::RefConv2DInt8Im2ColGemm(
     const std::int8_t* weights_ohwi, Conv2DInt8Attrs attrs)
     : attrs_(std::move(attrs)),
-      matrix_(weights_ohwi, attrs_.geo.out_c, Im2ColDepthFloat(attrs_.geo)),
-      transform_(MakeInt8RequantTransform(attrs_, matrix_.row_sums().data())) {}
+      panels_(weights_ohwi, attrs_.geo.out_c, Im2ColDepthFloat(attrs_.geo)),
+      transform_(MakeInt8RequantTransform(attrs_, panels_.row_sums().data())) {}
 
 void RefConv2DInt8Im2ColGemm::Run(const Tensor& input, Tensor& output,
                                   gemm::Context& ctx) const {
   const Conv2DGeometry& g = attrs_.geo;
   const std::int64_t rows = Im2ColRows(g);
+  const int k = Im2ColDepthFloat(g);
+  const int lda = panels_.k_groups() * gemm::kInt8DotKg;
   auto* patches = reinterpret_cast<std::int8_t*>(
-      ctx.Scratch(1, static_cast<std::size_t>(rows) * Im2ColDepthFloat(g)));
+      ctx.Scratch(1, static_cast<std::size_t>(rows) * k));
   Im2ColInt8(input.data<std::int8_t>(), g,
              static_cast<std::int8_t>(
                  std::clamp(attrs_.input_quant.zero_point, -128, 127)),
              patches);
+  std::int8_t* arows = patches;
+  if (lda != k) {
+    // The dot kernels read whole 4-byte K-groups: re-lay the rows at the
+    // panels' stride with zeroed K-padding.
+    arows = reinterpret_cast<std::int8_t*>(
+        ctx.Scratch(0, static_cast<std::size_t>(rows) * lda));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      std::int8_t* d = arows + r * lda;
+      std::memcpy(d, patches + r * k, static_cast<std::size_t>(k));
+      std::memset(d + k, 0, static_cast<std::size_t>(lda - k));
+    }
+  }
   auto* acc = reinterpret_cast<std::int32_t*>(ctx.Scratch(
       2, static_cast<std::size_t>(rows) * g.out_c * sizeof(std::int32_t)));
-  gemm::Int8Gemm(patches, static_cast<int>(rows), matrix_, acc, g.out_c, ctx);
+  const gemm::Int8Tier tier = ctx.profile() == gemm::KernelProfile::kScalar
+                                  ? gemm::Int8Tier::kScalar
+                                  : gemm::SelectInt8Tier();
+  ctx.pool().ParallelFor(rows, [&](std::int64_t begin, std::int64_t end) {
+    gemm::Int8DotComputeBlock(arows + begin * lda, lda, panels_, tier,
+                              static_cast<int>(end - begin),
+                              acc + begin * g.out_c, g.out_c);
+  });
   transform_->Apply(acc, 0, rows, output.raw_data());
 }
 

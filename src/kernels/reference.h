@@ -117,9 +117,12 @@ class RefBDepthwiseConv2D {
 };
 
 // The int8 convolution oracle (Conv2DInt8): full-image Im2ColInt8 (padded
-// taps read the input zero point), gemm::Int8Gemm (the widened multiply-add
-// tiers) into a full-image accumulator, then MakeInt8RequantTransform over
-// the whole image. Scratch: ctx slot 0 (GEMM A-panels), slot 1 (patches)
+// taps read the input zero point), gemm::Int8DotComputeBlock over the
+// im2col rows (padded to the panels' K-group stride) into a full-image
+// accumulator, then MakeInt8RequantTransform over the whole image. The dot
+// kernel is the tier the context's profile implies: the portable loop for
+// KernelProfile::kScalar, gemm::SelectInt8Tier() otherwise. Scratch: ctx
+// slot 0 (padded rows, when K is not a multiple of 4), slot 1 (patches)
 // and slot 2 (accumulator).
 class RefConv2DInt8Im2ColGemm {
  public:
@@ -131,7 +134,7 @@ class RefConv2DInt8Im2ColGemm {
 
  private:
   Conv2DInt8Attrs attrs_;
-  gemm::PackedInt8Matrix matrix_;
+  gemm::PackedInt8DotPanels panels_;
   std::unique_ptr<pipeline::Int8RequantTransform> transform_;
 };
 

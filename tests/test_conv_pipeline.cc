@@ -3,7 +3,7 @@
 // (kernels/pipeline/). Each gather strategy is checked against the
 // composition it replaces: the bitpacked gathers against im2col rows (full
 // or sliced), which they must reproduce word for word, and the int8 gather
-// against im2col followed by the int8 LHS tile packer.
+// against int8 im2col rows, raw and biased.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -257,47 +257,74 @@ TEST(GatherPack, GroupSliceMatchesGroupIm2Col) {
 }
 
 TEST(GatherPack, Int8MatchesIm2Col) {
+  // GatherStageInt8Dot against Im2ColInt8: raw and biased (XOR 0x80) rows,
+  // K-padding bytes [k, lda) and rows past the image zeroed, through the
+  // checked gather on every tile and the sentinel-free one on interior
+  // tiles.
   const struct {
     int hw, in_c, k, stride;
     Padding pad;
+    int batch;
   } cases[] = {
-      {8, 16, 3, 1, Padding::kSameZero},
-      {9, 24, 3, 2, Padding::kSameZero},
-      {6, 8, 1, 1, Padding::kValid},
+      {8, 16, 3, 1, Padding::kSameZero, 1},
+      {9, 24, 3, 2, Padding::kSameZero, 1},
+      {6, 8, 1, 1, Padding::kValid, 1},
+      {11, 3, 7, 2, Padding::kSameZero, 1},  // K = 147: one padding byte
+      {7, 5, 3, 1, Padding::kSameZero, 2},   // K = 45, 98 rows over 2 images
   };
+  std::int64_t interior_tiles = 0, border_tiles = 0;
   for (const auto& c : cases) {
-    const Conv2DGeometry g = MakeGeo(c.hw, c.in_c, c.k, c.stride, c.pad);
+    const Conv2DGeometry g =
+        MakeGeo(c.hw, c.in_c, c.k, c.stride, c.pad, c.batch);
     Rng rng(c.hw + c.in_c);
-    Tensor in(DataType::kInt8, Shape{1, g.in_h, g.in_w, g.in_c});
+    Tensor in(DataType::kInt8, Shape{c.batch, g.in_h, g.in_w, g.in_c});
     FillInt8(in, rng);
     const std::int8_t pad_value = 3;  // a nonzero input zero point
 
     const std::int64_t rows = Im2ColRows(g);
     const int depth = Im2ColDepthFloat(g);
+    const int lda = (depth + gemm::kInt8DotKg - 1) / gemm::kInt8DotKg *
+                    gemm::kInt8DotKg;
     std::vector<std::int8_t> patches(static_cast<std::size_t>(rows) * depth);
     Im2ColInt8(in.data<std::int8_t>(), g, pad_value, patches.data());
 
     const gemm::IndirectionOffsets ind(g, g.in_c);
     const pipeline::TilePlan plan(g, gemm::kInt8Mr);
-    const int k_blocks = (depth + gemm::kInt8Kc - 1) / gemm::kInt8Kc;
-    const std::int64_t a_elems =
-        static_cast<std::int64_t>(k_blocks) * gemm::kInt8Mr * gemm::kInt8Kc;
-    std::vector<std::int8_t> expected(a_elems), got(a_elems);
-    std::vector<std::int8_t> stage(static_cast<std::size_t>(gemm::kInt8Mr) *
-                                   depth);
-
-    for (std::int64_t t = 0; t < plan.num_tiles(); ++t) {
-      const std::int64_t row0 = t * gemm::kInt8Mr;
-      gemm::Int8GemmPackLhsTile(patches.data(), static_cast<int>(rows), depth,
-                                static_cast<int>(row0), gemm::kInt8Mr,
-                                k_blocks, /*bias=*/true, expected.data());
-      pipeline::GatherPackInt8(in.data<std::int8_t>(), ind, pad_value, row0,
-                               gemm::kInt8Mr, k_blocks, plan.interior(t),
-                               stage.data(), got.data());
-      ASSERT_EQ(std::memcmp(got.data(), expected.data(), a_elems), 0)
-          << "hw=" << c.hw << " in_c=" << c.in_c << " tile " << t;
+    interior_tiles += plan.interior_tiles();
+    border_tiles += plan.num_tiles() - plan.interior_tiles();
+    std::vector<std::int8_t> got(static_cast<std::size_t>(gemm::kInt8Mr) *
+                                 lda);
+    for (const bool bias : {false, true}) {
+      const int flip = bias ? 0x80 : 0;
+      for (std::int64_t t = 0; t < plan.num_tiles(); ++t) {
+        const std::int64_t row0 = t * gemm::kInt8Mr;
+        for (const bool interior : {false, true}) {
+          if (interior && !plan.interior(t)) continue;
+          std::fill(got.begin(), got.end(), std::int8_t{0x5a});
+          pipeline::GatherStageInt8Dot(in.data<std::int8_t>(), ind, pad_value,
+                                       row0, gemm::kInt8Mr, lda, interior,
+                                       bias, got.data());
+          for (int r = 0; r < gemm::kInt8Mr; ++r) {
+            for (int kk = 0; kk < lda; ++kk) {
+              const std::int64_t row = row0 + r;
+              const std::int8_t expected =
+                  row < rows && kk < depth
+                      ? static_cast<std::int8_t>(patches[row * depth + kk] ^
+                                                 flip)
+                      : std::int8_t{0};
+              ASSERT_EQ(got[static_cast<std::size_t>(r) * lda + kk], expected)
+                  << "hw=" << c.hw << " in_c=" << c.in_c
+                  << " batch=" << c.batch << " bias=" << bias
+                  << " interior=" << interior << " tile " << t << " row "
+                  << r << " byte " << kk;
+            }
+          }
+        }
+      }
     }
   }
+  EXPECT_GT(interior_tiles, 0);
+  EXPECT_GT(border_tiles, 0);
 }
 
 }  // namespace

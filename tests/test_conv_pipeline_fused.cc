@@ -226,9 +226,8 @@ struct Int8Case {
 std::vector<gemm::Int8Tier> AvailableInt8Tiers() {
   std::vector<gemm::Int8Tier> tiers;
   for (gemm::Int8Tier t :
-       {gemm::Int8Tier::kScalar, gemm::Int8Tier::kWidened,
-        gemm::Int8Tier::kAvx2Dot, gemm::Int8Tier::kNeonDot,
-        gemm::Int8Tier::kVnni}) {
+       {gemm::Int8Tier::kScalar, gemm::Int8Tier::kAvx2Dot,
+        gemm::Int8Tier::kNeonDot, gemm::Int8Tier::kVnni}) {
     if (gemm::Int8TierAvailable(t)) tiers.push_back(t);
   }
   return tiers;
@@ -277,11 +276,12 @@ TEST_P(Int8FusedParity, FusedMatchesOracle) {
   Tensor out_oracle(DataType::kInt8,
                     Shape{1, geo.out_h(), geo.out_w(), c.out_c});
   {
-    gemm::Context ctx(1);
+    // The portable loop: no SIMD tier is ever compared against itself.
+    gemm::Context ctx(1, gemm::KernelProfile::kScalar);
     oracle.Run(in, out_oracle, ctx);
   }
   // Every tier selectable on this machine must reproduce the im2col +
-  // widened-GEMM oracle byte-for-byte, single- and multi-threaded.
+  // portable-GEMM oracle byte-for-byte, single- and multi-threaded.
   for (const gemm::Int8Tier tier : AvailableInt8Tiers()) {
     gemm::SetInt8TierOverrideForTest(static_cast<int>(tier));
     for (const int threads : {1, 4}) {
@@ -349,7 +349,7 @@ TEST(Int8Fused, TileCountersAdvance) {
 // Adversarial saturation property test at the convolution level: weights
 // and activations drawn only from {-128, -127, +127}, so a saturating
 // vpmaddubsw pairwise sum (or a bias/rowsum bookkeeping slip) in any tier
-// diverges from the exact widened-dot oracle. Padding is exercised
+// diverges from the oracle's portable exact dot. Padding is exercised
 // too (kSameZero with a nonzero input zero point). `block_tiles` sets the
 // fused block size (row tails of the 8-row VNNI block); `per_channel`
 // draws per-channel weight scales.
@@ -381,7 +381,7 @@ void CheckExtremeValueTierParity(const Conv2DGeometry& geo, int block_tiles,
   Tensor out_oracle(DataType::kInt8,
                     Shape{1, geo.out_h(), geo.out_w(), geo.out_c});
   {
-    gemm::Context ctx(1);
+    gemm::Context ctx(1, gemm::KernelProfile::kScalar);
     oracle.Run(in, out_oracle, ctx);
   }
   for (const gemm::Int8Tier tier : AvailableInt8Tiers()) {

@@ -1,8 +1,8 @@
-// Int8 GEMM tests: exact signed dot products (the widened-multiply kernel
-// must be saturation-free), profile agreement, row sums, and the
-// dot-product tiers (gemm/int8_isa.h) against the same exact reference --
+// Int8 GEMM tests: every tier of gemm/int8_isa.h (the portable loop and
+// each available dot-product kernel) against a naive exact reference,
 // including the adversarial +-127/-128 patterns that would expose a
-// saturating vpmaddubsw implementation.
+// saturating vpmaddubsw implementation; the packed panel layout and row
+// sums; and tier selection.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,7 +17,7 @@
 namespace lce::gemm {
 namespace {
 
-void NaiveInt8Gemm(const std::vector<std::int8_t>& lhs,
+void NaiveInt8Dots(const std::vector<std::int8_t>& lhs,
                    const std::vector<std::int8_t>& rhs, int m, int n, int k,
                    std::vector<std::int32_t>* out) {
   out->assign(static_cast<std::size_t>(m) * n, 0);
@@ -36,22 +36,6 @@ void NaiveInt8Gemm(const std::vector<std::int8_t>& lhs,
 class Int8GemmShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
-TEST_P(Int8GemmShapes, ExactMatch) {
-  const auto [m, n, k] = GetParam();
-  Rng rng(m + n * 5 + k * 11);
-  std::vector<std::int8_t> lhs(static_cast<std::size_t>(m) * k);
-  std::vector<std::int8_t> rhs(static_cast<std::size_t>(n) * k);
-  for (auto& v : lhs) v = rng.Int8(-128, 127);
-  for (auto& v : rhs) v = rng.Int8(-127, 127);
-  std::vector<std::int32_t> expected;
-  NaiveInt8Gemm(lhs, rhs, m, n, k, &expected);
-
-  Context ctx(1);
-  std::vector<std::int32_t> out(static_cast<std::size_t>(m) * n);
-  Int8Gemm(lhs.data(), m, rhs.data(), n, k, out.data(), n, ctx);
-  EXPECT_EQ(out, expected);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     ShapeSweep, Int8GemmShapes,
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 4, 32),
@@ -59,37 +43,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(17, 13, 100), std::make_tuple(33, 7, 97),
                       std::make_tuple(64, 64, 576),
                       std::make_tuple(5, 40, 2304)));
-
-TEST(Int8Gemm, ExtremeValuesNoSaturation) {
-  // Worst case for a saturating maddubs implementation: all -128 x all +127.
-  const int m = 2, n = 2, k = 256;
-  std::vector<std::int8_t> lhs(static_cast<std::size_t>(m) * k, -128);
-  std::vector<std::int8_t> rhs(static_cast<std::size_t>(n) * k, 127);
-  Context ctx(1);
-  std::vector<std::int32_t> out(4);
-  Int8Gemm(lhs.data(), m, rhs.data(), n, k, out.data(), n, ctx);
-  for (auto v : out) EXPECT_EQ(v, -128 * 127 * k);
-}
-
-TEST(Int8Gemm, ProfilesAgree) {
-  const int m = 9, n = 11, k = 130;
-  Rng rng(77);
-  std::vector<std::int8_t> lhs(static_cast<std::size_t>(m) * k);
-  std::vector<std::int8_t> rhs(static_cast<std::size_t>(n) * k);
-  for (auto& v : lhs) v = rng.Int8(-128, 127);
-  for (auto& v : rhs) v = rng.Int8(-127, 127);
-  std::vector<std::int32_t> simd(static_cast<std::size_t>(m) * n);
-  std::vector<std::int32_t> scalar(simd.size());
-  {
-    Context ctx(1, KernelProfile::kSimd);
-    Int8Gemm(lhs.data(), m, rhs.data(), n, k, simd.data(), n, ctx);
-  }
-  {
-    Context ctx(1, KernelProfile::kScalar);
-    Int8Gemm(lhs.data(), m, rhs.data(), n, k, scalar.data(), n, ctx);
-  }
-  EXPECT_EQ(simd, scalar);
-}
 
 // All tiers Int8DotComputeBlock accepts on this machine: the portable
 // reference plus every compiled-in AND CPU-supported dot tier.
@@ -103,12 +56,12 @@ std::vector<Int8Tier> DotBlockTiers() {
 }
 
 // Runs Int8DotComputeBlock for `tier` on row-major lhs/rhs and compares
-// against the exact widened-dot reference.
+// against the naive exact reference.
 void CheckDotBlock(const std::vector<std::int8_t>& lhs,
                    const std::vector<std::int8_t>& rhs, int m, int n, int k,
                    Int8Tier tier) {
   std::vector<std::int32_t> expected;
-  NaiveInt8Gemm(lhs, rhs, m, n, k, &expected);
+  NaiveInt8Dots(lhs, rhs, m, n, k, &expected);
 
   PackedInt8DotPanels panels(rhs.data(), n, k);
   const int lda = panels.k_groups() * kInt8DotKg;
@@ -139,14 +92,14 @@ TEST(Int8DotBlock, ExtremeValuesNoSaturation) {
   // The canonical hazard: biased u8 activation 255 (= +127) times weight
   // +127, twice per i16 lane, overflows a saturating vpmaddubsw pairwise
   // sum (2 * 255 * 127 = 64770 > 32767). Every tier must still produce the
-  // exact widened dot product; the AVX2 kernel does so by splitting even
+  // exact int32 dot product; the AVX2 kernel does so by splitting even
   // and odd bytes so each i16 lane holds a single u8 x s8 product.
   const int m = 3, n = 17, k = 256;
   std::vector<std::int8_t> lhs(static_cast<std::size_t>(m) * k, 127);
   std::vector<std::int8_t> rhs(static_cast<std::size_t>(n) * k, 127);
   for (Int8Tier tier : DotBlockTiers()) CheckDotBlock(lhs, rhs, m, n, k, tier);
 
-  // And the all -128 x +127 corner of the widened-path test above.
+  // And the all -128 x +127 corner.
   lhs.assign(lhs.size(), -128);
   for (Int8Tier tier : DotBlockTiers()) CheckDotBlock(lhs, rhs, m, n, k, tier);
 }
@@ -230,10 +183,24 @@ TEST(Int8DotBlock, PanelLayoutAndRowSums) {
   }
 }
 
+// SelectInt8Tier() without the test hook: the LCE_FORCE_ISA tier when it
+// names an available one (the forced-scalar ctest variants pin "scalar"),
+// BestInt8Tier() otherwise.
+Int8Tier ExpectedUnforcedTier() {
+  const char* forced = std::getenv("LCE_FORCE_ISA");
+  for (Int8Tier t : {Int8Tier::kScalar, Int8Tier::kAvx2Dot,
+                     Int8Tier::kNeonDot, Int8Tier::kVnni}) {
+    if (forced != nullptr && std::string(forced) == Int8TierName(t) &&
+        Int8TierAvailable(t)) {
+      return t;
+    }
+  }
+  return BestInt8Tier();
+}
+
 TEST(Int8Isa, SelectionRespectsOverridesAndAvailability) {
-  // kScalar and kWidened are always available.
+  // kScalar is always available.
   EXPECT_TRUE(Int8TierAvailable(Int8Tier::kScalar));
-  EXPECT_TRUE(Int8TierAvailable(Int8Tier::kWidened));
   // The best tier is available by definition.
   EXPECT_TRUE(Int8TierAvailable(BestInt8Tier()));
   // The test hook wins over everything and ignores unsupported tiers.
@@ -243,35 +210,16 @@ TEST(Int8Isa, SelectionRespectsOverridesAndAvailability) {
   if (!Int8TierAvailable(Int8Tier::kNeonDot)) {
     EXPECT_NE(SelectInt8Tier(), Int8Tier::kNeonDot);
   }
+  // Value 2 belongs to a retired kernel family: like any value that names
+  // no tier, it is unavailable and the selection falls through to the env
+  // override or BestInt8Tier().
+  for (const int unknown : {2, 6, -1}) {
+    EXPECT_FALSE(Int8TierAvailable(static_cast<Int8Tier>(unknown)));
+    SetInt8TierOverrideForTest(unknown);
+    EXPECT_EQ(SelectInt8Tier(), ExpectedUnforcedTier()) << unknown;
+  }
   SetInt8TierOverrideForTest(0);
-  if (std::getenv("LCE_FORCE_ISA") == nullptr) {
-    EXPECT_EQ(SelectInt8Tier(), BestInt8Tier());
-  } else if (std::string(std::getenv("LCE_FORCE_ISA")) == "scalar") {
-    // The forced-scalar ctest variants pin the env override.
-    EXPECT_EQ(SelectInt8Tier(), Int8Tier::kScalar);
-  }
-
-  EXPECT_TRUE(Int8TierIsDotProduct(Int8Tier::kVnni));
-  EXPECT_TRUE(Int8TierIsDotProduct(Int8Tier::kAvx2Dot));
-  EXPECT_TRUE(Int8TierIsDotProduct(Int8Tier::kNeonDot));
-  EXPECT_FALSE(Int8TierIsDotProduct(Int8Tier::kWidened));
-  EXPECT_FALSE(Int8TierIsDotProduct(Int8Tier::kScalar));
-}
-
-TEST(Int8Gemm, RowSumsAreCorrect) {
-  const int n = 3, k = 10;
-  std::vector<std::int8_t> rhs(static_cast<std::size_t>(n) * k);
-  for (int j = 0; j < n; ++j) {
-    for (int kk = 0; kk < k; ++kk) {
-      rhs[static_cast<std::size_t>(j) * k + kk] =
-          static_cast<std::int8_t>(j + 1);
-    }
-  }
-  PackedInt8Matrix packed(rhs.data(), n, k);
-  ASSERT_EQ(packed.row_sums().size(), 3u);
-  EXPECT_EQ(packed.row_sums()[0], 10);
-  EXPECT_EQ(packed.row_sums()[1], 20);
-  EXPECT_EQ(packed.row_sums()[2], 30);
+  EXPECT_EQ(SelectInt8Tier(), ExpectedUnforcedTier());
 }
 
 }  // namespace
