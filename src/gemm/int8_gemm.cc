@@ -19,39 +19,77 @@ namespace {
 // panel stays register/L1-resident across every staged row of the block
 // before the next panel streams in (weight-stationary).
 
-// Byte `c` (0 = lowest address) of a little-endian 4-byte group,
-// sign-extended.
-inline std::int32_t GroupByte(std::uint32_t w, int c) {
-  return static_cast<std::int32_t>(w << (24 - 8 * c)) >> 24;
-}
+// Portable tier: rows and channels per reduction tile, and K-groups of one
+// panel de-interleaved at a time (a 16 KiB stack buffer).
+constexpr int kPortableRows = 2;  // DotPanelPortable's row tail is 1 row
+constexpr int kPortableCols = 4;
+constexpr int kPortableChunkGroups = 256;
 
-// The kScalar tier: raw signed dot, exact. Also the fallback when the
-// requested SIMD kernel is not compiled in. Each channel's 4-byte K-group
-// is one 32-bit lane of the panel line, so the channel loop is 16 lanes of
-// shifts and multiply-adds the compiler can vectorize; padding channels
-// hold zero weights and are computed but not stored.
-void DotPanelPortable(const std::int8_t* arows, int lda,
-                      const std::int8_t* panel, int k_groups, int col0,
-                      int cols, int block_rows, std::int32_t* out, int ldc) {
-  for (int r = 0; r < block_rows; ++r) {
-    const std::int8_t* a = arows + static_cast<std::int64_t>(r) * lda;
-    std::int32_t acc[kInt8DotNr] = {};
-    for (int g = 0; g < k_groups; ++g) {
-      std::uint32_t aw;
-      std::memcpy(&aw, a + static_cast<std::int64_t>(g) * kInt8DotKg, 4);
-      const std::int32_t a0 = GroupByte(aw, 0), a1 = GroupByte(aw, 1);
-      const std::int32_t a2 = GroupByte(aw, 2), a3 = GroupByte(aw, 3);
-      const std::int8_t* b =
-          panel + static_cast<std::int64_t>(g) * kInt8DotNr * kInt8DotKg;
-      std::uint32_t bw[kInt8DotNr];
-      std::memcpy(bw, b, sizeof(bw));
-      for (int j = 0; j < kInt8DotNr; ++j) {
-        acc[j] += a0 * GroupByte(bw[j], 0) + a1 * GroupByte(bw[j], 1) +
-                  a2 * GroupByte(bw[j], 2) + a3 * GroupByte(bw[j], 3);
+// kRows staged rows x kPortableCols channels of u8 x s8 byte dots over k.
+// All kRows * kPortableCols sums run in one pass over k, each a contiguous
+// byte reduction: the form compilers vectorize into their widest
+// multiply-add (vpdpbusd where the target has it), reusing every loaded
+// row and channel chunk across the tile.
+template <int kRows>
+void DotTilePortable(const std::uint8_t* a, int lda, const std::int8_t* w,
+                     int k, std::int32_t s[kRows][kPortableCols]) {
+  std::int32_t acc[kRows][kPortableCols] = {};
+  for (int kk = 0; kk < k; ++kk) {
+    for (int i = 0; i < kRows; ++i) {
+      for (int j = 0; j < kPortableCols; ++j) {
+        acc[i][j] += static_cast<std::int32_t>(a[i * lda + kk]) *
+                     static_cast<std::int32_t>(w[j * k + kk]);
       }
     }
-    std::int32_t* o = out + static_cast<std::int64_t>(r) * ldc + col0;
-    for (int j = 0; j < cols; ++j) o[j] = acc[j];
+  }
+  std::memcpy(s, acc, sizeof(acc));
+}
+
+// The kScalar tier, also the fallback when the requested SIMD kernel is not
+// compiled in: exact dots from biased (u8) rows, `128 * row_sums` removed
+// at the store. Each chunk of K-groups is first de-interleaved into
+// channel-major rows so every dot is a contiguous byte reduction; each
+// tile then reuses a row across kPortableCols channels and a channel
+// across kPortableRows rows. Padding channels hold zero weights and are
+// not stored.
+void DotPanelPortable(const std::int8_t* arows, int lda,
+                      const std::int8_t* panel, int k_groups,
+                      const std::int32_t* row_sums, int col0, int cols,
+                      int block_rows, std::int32_t* out, int ldc) {
+  alignas(64) std::int8_t wt[kInt8DotNr * kPortableChunkGroups * kInt8DotKg];
+  const auto* a = reinterpret_cast<const std::uint8_t*>(arows);
+  for (int g0 = 0; g0 < k_groups; g0 += kPortableChunkGroups) {
+    const int groups = std::min(kPortableChunkGroups, k_groups - g0);
+    const int kc = groups * kInt8DotKg;
+    for (int g = 0; g < groups; ++g) {
+      const std::int8_t* line =
+          panel + static_cast<std::int64_t>(g0 + g) * kInt8DotNr * kInt8DotKg;
+      for (int j = 0; j < kInt8DotNr; ++j) {
+        std::memcpy(wt + j * kc + g * kInt8DotKg, line + j * kInt8DotKg,
+                    kInt8DotKg);
+      }
+    }
+    const std::uint8_t* ag = a + static_cast<std::int64_t>(g0) * kInt8DotKg;
+    for (int r = 0; r < block_rows; r += kPortableRows) {
+      const int rows = std::min(kPortableRows, block_rows - r);
+      for (int j0 = 0; j0 < cols; j0 += kPortableCols) {
+        std::int32_t s[kPortableRows][kPortableCols];
+        const std::uint8_t* ar = ag + static_cast<std::int64_t>(r) * lda;
+        if (rows == kPortableRows) {
+          DotTilePortable<kPortableRows>(ar, lda, wt + j0 * kc, kc, s);
+        } else {  // the last row of an odd block
+          DotTilePortable<1>(ar, lda, wt + j0 * kc, kc, s);
+        }
+        for (int i = 0; i < rows; ++i) {
+          std::int32_t* o =
+              out + static_cast<std::int64_t>(r + i) * ldc + col0 + j0;
+          for (int j = 0; j < std::min(kPortableCols, cols - j0); ++j) {
+            o[j] = g0 == 0 ? s[i][j] - 128 * row_sums[col0 + j0 + j]
+                           : o[j] + s[i][j];
+          }
+        }
+      }
+    }
   }
 }
 
@@ -310,12 +348,14 @@ PackedInt8DotPanels::PackedInt8DotPanels(const std::int8_t* rows, int n, int k)
 }
 
 bool Int8DotRowsBiased(Int8Tier tier) {
-#if defined(__AVX512VNNI__)
-  return tier == Int8Tier::kVnni;
-#else
-  (void)tier;
-  return false;
+#if defined(__AVX2__)
+  if (tier == Int8Tier::kAvx2Dot) return false;
 #endif
+#if defined(__ARM_NEON) && defined(__ARM_FEATURE_DOTPROD)
+  if (tier == Int8Tier::kNeonDot) return false;
+#endif
+  (void)tier;
+  return true;
 }
 
 void Int8DotComputeStagedBlock(const std::int8_t* arows, int lda,
@@ -348,8 +388,8 @@ void Int8DotComputeStagedBlock(const std::int8_t* arows, int lda,
     }
 #endif
     // kScalar, or a tier whose kernel is not compiled into this binary.
-    DotPanelPortable(arows, lda, panel, k_groups, col0, cols, block_rows, out,
-                     ldc);
+    DotPanelPortable(arows, lda, panel, k_groups, rhs.row_sums().data(), col0,
+                     cols, block_rows, out, ldc);
   }
 }
 

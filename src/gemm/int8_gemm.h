@@ -81,10 +81,11 @@ void Int8DotComputeBlock(const std::int8_t* arows, int lda,
 
 // Whether `tier`'s dot kernel reads staged rows that already carry the +128
 // activation bias (every real byte XOR 0x80; K-padding bytes may hold
-// anything, their weights are zero): true for kVnni when its kernel is
-// compiled in, whose register block then broadcasts each 4-byte group
-// straight from memory. The AVX2 and NEON kernels and the portable
-// reference read raw rows.
+// anything, their weights are zero). True for kVnni, whose register block
+// then broadcasts each 4-byte group straight from memory, and for the
+// portable loop (kScalar, or any tier whose kernel is not compiled in),
+// whose u8 x s8 byte reductions compilers vectorize into their widest
+// multiply-add. The AVX2 and NEON kernels read raw rows.
 bool Int8DotRowsBiased(Int8Tier tier);
 
 // Int8DotComputeBlock on rows staged for `tier`: biased when

@@ -132,8 +132,8 @@ void Conv2DInt8::InitGeometry() {
 // TileCompute policy of the int8 kernel, every tier (VNNI / AVX2 maddubs /
 // NEON sdot / portable): the gather only *stages* patch rows — the dot
 // kernels broadcast 4-byte activation groups straight from them, with no
-// panel interleave pass. For the VNNI tier the staging copy also applies
-// the u8 x s8 kernel's +128 bias. The tier is fixed at selection time
+// panel interleave pass. For the u8 x s8 tiers (VNNI and the portable
+// loop) the staging copy also applies the +128 activation bias. The tier is fixed at selection time
 // (gemm/int8_isa.h) rather than read from the engine's profile. The block
 // compute is panel-outer / row-inner over the Compile()-time
 // PackedInt8DotPanels (weight-stationary: one panel stays L1-resident
@@ -180,7 +180,7 @@ class Conv2DInt8DotTileCompute final : public pipeline::TileCompute {
   const Conv2DInt8& op_;
   const std::int8_t* input_;
   gemm::Int8Tier tier_;
-  bool biased_rows_;  // stage rows with the +128 bias (VNNI tier)
+  bool biased_rows_;  // stage rows with the +128 bias (Int8DotRowsBiased)
   int lda_;
 };
 

@@ -55,8 +55,8 @@ void GatherPackBitpacked(const TBitpacked* input,
 // panel interleave pass. Rows beyond ind.rows() are zeroed (they never
 // reach the output). With `bias` set every gathered byte (padded taps
 // included) is XORed with 0x80 on the way in: the +128 activation bias of
-// the u8 x s8 VNNI kernel (gemm::Int8DotRowsBiased), applied once here
-// instead of per broadcast.
+// the u8 x s8 kernels (VNNI and the portable loop;
+// gemm::Int8DotRowsBiased), applied once here instead of per broadcast.
 void GatherStageInt8Dot(const std::int8_t* input,
                         const gemm::IndirectionOffsets& ind,
                         std::int8_t pad_value, std::int64_t row0,

@@ -357,27 +357,33 @@ void RefConv2DInt8Im2ColGemm::Run(const Tensor& input, Tensor& output,
              static_cast<std::int8_t>(
                  std::clamp(attrs_.input_quant.zero_point, -128, 127)),
              patches);
+  const gemm::Int8Tier tier = ctx.profile() == gemm::KernelProfile::kScalar
+                                  ? gemm::Int8Tier::kScalar
+                                  : gemm::SelectInt8Tier();
+  const bool biased = gemm::Int8DotRowsBiased(tier);
   std::int8_t* arows = patches;
-  if (lda != k) {
-    // The dot kernels read whole 4-byte K-groups: re-lay the rows at the
-    // panels' stride with zeroed K-padding.
+  if (biased || lda != k) {
+    // Stage the rows as the gather does for this tier, in one pass: at the
+    // panels' K-group stride (the dot kernels read whole 4-byte groups;
+    // K-padding zeroed), XORed with 0x80 when the tier reads biased rows.
     arows = reinterpret_cast<std::int8_t*>(
         ctx.Scratch(0, static_cast<std::size_t>(rows) * lda));
+    const std::int8_t mask = biased ? static_cast<std::int8_t>(0x80) : 0;
     for (std::int64_t r = 0; r < rows; ++r) {
+      const std::int8_t* s = patches + r * k;
       std::int8_t* d = arows + r * lda;
-      std::memcpy(d, patches + r * k, static_cast<std::size_t>(k));
+      for (int kk = 0; kk < k; ++kk) {
+        d[kk] = static_cast<std::int8_t>(s[kk] ^ mask);
+      }
       std::memset(d + k, 0, static_cast<std::size_t>(lda - k));
     }
   }
   auto* acc = reinterpret_cast<std::int32_t*>(ctx.Scratch(
       2, static_cast<std::size_t>(rows) * g.out_c * sizeof(std::int32_t)));
-  const gemm::Int8Tier tier = ctx.profile() == gemm::KernelProfile::kScalar
-                                  ? gemm::Int8Tier::kScalar
-                                  : gemm::SelectInt8Tier();
   ctx.pool().ParallelFor(rows, [&](std::int64_t begin, std::int64_t end) {
-    gemm::Int8DotComputeBlock(arows + begin * lda, lda, panels_, tier,
-                              static_cast<int>(end - begin),
-                              acc + begin * g.out_c, g.out_c);
+    gemm::Int8DotComputeStagedBlock(arows + begin * lda, lda, panels_, tier,
+                                    static_cast<int>(end - begin),
+                                    acc + begin * g.out_c, g.out_c);
   });
   transform_->Apply(acc, 0, rows, output.raw_data());
 }

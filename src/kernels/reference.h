@@ -117,13 +117,14 @@ class RefBDepthwiseConv2D {
 };
 
 // The int8 convolution oracle (Conv2DInt8): full-image Im2ColInt8 (padded
-// taps read the input zero point), gemm::Int8DotComputeBlock over the
-// im2col rows (padded to the panels' K-group stride) into a full-image
-// accumulator, then MakeInt8RequantTransform over the whole image. The dot
-// kernel is the tier the context's profile implies: the portable loop for
+// taps read the input zero point), gemm::Int8DotComputeStagedBlock over the
+// im2col rows (staged for the tier: padded to the panels' K-group stride,
+// biased when gemm::Int8DotRowsBiased) into a full-image accumulator, then
+// MakeInt8RequantTransform over the whole image. The dot kernel is the tier
+// the context's profile implies: the portable loop for
 // KernelProfile::kScalar, gemm::SelectInt8Tier() otherwise. Scratch: ctx
-// slot 0 (padded rows, when K is not a multiple of 4), slot 1 (patches)
-// and slot 2 (accumulator).
+// slot 0 (staged rows, unless the tier reads raw rows and K is a multiple
+// of 4), slot 1 (patches) and slot 2 (accumulator).
 class RefConv2DInt8Im2ColGemm {
  public:
   RefConv2DInt8Im2ColGemm(const std::int8_t* weights_ohwi,
